@@ -2,12 +2,15 @@
 //!
 //! A boundary-integral solution of the Laplace equation over `N` bodies,
 //! each discretized into `M` boundary elements. The `(NM)^2` system
-//! matrix is too large to store and is *recomputed as needed*; the system
-//! is solved with parallel asynchronous Jacobi iterations whose
-//! communication is governed by a distance-based *schedule*: distant
-//! bodies interact weakly, so their contributions are refreshed less
-//! often. This makes MSE the study's computation-bound program (90% of
-//! time computing in MSE-MP, Table 4).
+//! matrix is too large to store and is *recomputed as needed*: the
+//! simulated machines are charged `pair_cost` cycles per entry on every
+//! use, while the host evaluates each entry from element positions it
+//! computes once per run ([`MseSystem`]). The system is solved with
+//! parallel asynchronous Jacobi iterations whose communication is
+//! governed by a distance-based *schedule*: distant bodies interact
+//! weakly, so their contributions are refreshed less often. This makes
+//! MSE the study's computation-bound program (90% of time computing in
+//! MSE-MP, Table 4).
 //!
 //! * MSE-MP keeps a per-processor copy of the solution vector; when the
 //!   schedule calls for updates it sends asynchronous requests to body
@@ -39,8 +42,9 @@ pub struct MseParams {
     /// Distance divisor of the exchange schedule: bodies at distance `d`
     /// refresh every `1 + floor(d / d_scale)` iterations.
     pub d_scale: f64,
-    /// Cycles per element pair in the interaction kernel (the matrix
-    /// entry is recomputed: distance, log, divide).
+    /// Simulated cycles per element pair in the interaction kernel,
+    /// charged on every use (the target recomputes the matrix entry:
+    /// distance, log, divide).
     pub pair_cost: u64,
     /// Serial initialization on node 0 before `create` (shared-memory
     /// version only; the paper's Start-up Wait row).
@@ -136,59 +140,80 @@ impl MseParams {
     }
 
     /// The off-diagonal matrix entry coupling elements `(body a, e)` and
-    /// `(body b, f)`: the 2D Laplace single-layer kernel, recomputed on
-    /// every use as in the paper.
+    /// `(body b, f)`: the 2D Laplace single-layer kernel. This reference
+    /// form recomputes both element positions; the programs evaluate the
+    /// same expression from positions computed once ([`MseSystem::kernel`]),
+    /// and the simulated cost of recomputing the entry is charged per use.
     pub fn kernel(&self, a: usize, e: usize, b: usize, f: usize) -> f64 {
-        let (px, py) = self.elem_pos(a, e);
-        let (qx, qy) = self.elem_pos(b, f);
-        let d2 = (px - qx).powi(2) + (py - qy).powi(2);
-        if d2 == 0.0 {
-            0.0
-        } else {
-            -d2.sqrt().ln() / (2.0 * std::f64::consts::PI)
-        }
+        laplace_kernel(self.elem_pos(a, e), self.elem_pos(b, f))
+    }
+}
+
+/// The 2D Laplace single-layer kernel between two element positions.
+/// Bitwise symmetric: `(p - q)^2` equals `(q - p)^2` exactly and the two
+/// squares are added in the same order either way.
+fn laplace_kernel((px, py): (f64, f64), (qx, qy): (f64, f64)) -> f64 {
+    let d2 = (px - qx).powi(2) + (py - qy).powi(2);
+    if d2 == 0.0 {
+        0.0
+    } else {
+        -d2.sqrt().ln() / (2.0 * std::f64::consts::PI)
     }
 }
 
 /// Per-element data precomputed at initialization: the (diagonally
-/// dominant) diagonal and the right-hand side chosen so the exact
-/// solution is all ones.
+/// dominant) diagonal, the right-hand side chosen so the exact solution
+/// is all ones, and every element's position. Unknowns are indexed
+/// body-major: element `e` of body `k` is unknown `k * elems + e`.
 #[derive(Clone, Debug)]
 pub struct MseSystem {
     /// Diagonal entries, one per unknown.
     pub diag: Vec<f64>,
     /// Right-hand side, one per unknown.
     pub rhs: Vec<f64>,
+    /// Element positions, one per unknown.
+    pos: Vec<(f64, f64)>,
+}
+
+impl MseSystem {
+    /// The off-diagonal matrix entry coupling unknowns `r` and `c`;
+    /// bit-identical to [`MseParams::kernel`] on the same elements.
+    #[inline]
+    pub fn kernel(&self, r: usize, c: usize) -> f64 {
+        laplace_kernel(self.pos[r], self.pos[c])
+    }
 }
 
 /// Builds the diagonal and right-hand side (host side; both program
 /// versions charge the equivalent computation to the simulated clock).
+///
+/// Walks the upper triangle once and adds each entry to both of its
+/// rows. Row `c` still receives its columns in ascending order (`0..c`
+/// from earlier rows, then `c + 1..` in its own), and the kernel is
+/// bitwise symmetric, so every sum equals the full-square row sum bit
+/// for bit with half the kernel evaluations.
 pub fn build_system(p: &MseParams) -> MseSystem {
     let nm = p.unknowns();
-    let mut diag = vec![0.0f64; nm];
-    let mut rhs = vec![0.0f64; nm];
-    for a in 0..p.bodies {
-        for e in 0..p.elems {
-            let row = a * p.elems + e;
-            let mut abs_sum = 0.0;
-            let mut sum = 0.0;
-            for b in 0..p.bodies {
-                for f in 0..p.elems {
-                    if (a, e) == (b, f) {
-                        continue;
-                    }
-                    let v = p.kernel(a, e, b, f);
-                    abs_sum += v.abs();
-                    sum += v;
-                }
-            }
-            // Diagonal dominance guarantees Jacobi convergence, even with
-            // the schedule's bounded staleness.
-            diag[row] = 1.5 * abs_sum;
-            rhs[row] = sum + diag[row]; // exact solution = all ones
+    let pos: Vec<(f64, f64)> = (0..p.bodies)
+        .flat_map(|k| (0..p.elems).map(move |e| p.elem_pos(k, e)))
+        .collect();
+    let mut abs_sum = vec![0.0f64; nm];
+    let mut sum = vec![0.0f64; nm];
+    for r in 0..nm {
+        for c in r + 1..nm {
+            let v = laplace_kernel(pos[r], pos[c]);
+            abs_sum[r] += v.abs();
+            sum[r] += v;
+            abs_sum[c] += v.abs();
+            sum[c] += v;
         }
     }
-    MseSystem { diag, rhs }
+    // Diagonal dominance guarantees Jacobi convergence, even with the
+    // schedule's bounded staleness; the right-hand side makes the exact
+    // solution all ones.
+    let diag: Vec<f64> = abs_sum.iter().map(|&a| 1.5 * a).collect();
+    let rhs = sum.iter().zip(&diag).map(|(&s, &d)| s + d).collect();
+    MseSystem { diag, rhs, pos }
 }
 
 /// Validates a computed solution against the all-ones exact answer.
@@ -221,6 +246,66 @@ mod tests {
             let v = p.kernel(a, e, b, f);
             assert!(v.is_finite());
             assert_eq!(v, p.kernel(b, f, a, e));
+        }
+    }
+
+    /// A configuration whose sizes are not powers of two.
+    fn odd() -> MseParams {
+        MseParams {
+            bodies: 64,
+            elems: 7,
+            grid: 8,
+            procs: 8,
+            ..MseParams::small()
+        }
+    }
+
+    #[test]
+    fn position_table_kernel_matches_the_reference_bitwise() {
+        for p in [MseParams::small(), odd()] {
+            let sys = build_system(&p);
+            for (a, e) in (0..p.bodies).flat_map(|a| (0..p.elems).map(move |e| (a, e))) {
+                for (b, f) in (0..p.bodies).flat_map(|b| (0..p.elems).map(move |f| (b, f))) {
+                    let table = sys.kernel(a * p.elems + e, b * p.elems + f);
+                    let reference = p.kernel(a, e, b, f);
+                    assert_eq!(
+                        table.to_bits(),
+                        reference.to_bits(),
+                        "({a},{e})-({b},{f}) of {}x{}",
+                        p.bodies,
+                        p.elems
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_build_matches_the_full_square_bitwise() {
+        for p in [MseParams::small(), odd()] {
+            let sys = build_system(&p);
+            // The full-square loop: every row sums all its columns in order.
+            for a in 0..p.bodies {
+                for e in 0..p.elems {
+                    let row = a * p.elems + e;
+                    let mut abs_sum = 0.0;
+                    let mut sum = 0.0;
+                    for b in 0..p.bodies {
+                        for f in 0..p.elems {
+                            if (a, e) == (b, f) {
+                                continue;
+                            }
+                            let v = p.kernel(a, e, b, f);
+                            abs_sum += v.abs();
+                            sum += v;
+                        }
+                    }
+                    let diag = 1.5 * abs_sum;
+                    let rhs = sum + diag;
+                    assert_eq!(sys.diag[row].to_bits(), diag.to_bits(), "diag[{row}]");
+                    assert_eq!(sys.rhs[row].to_bits(), rhs.to_bits(), "rhs[{row}]");
+                }
+            }
         }
     }
 

@@ -163,7 +163,9 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
 
             // --- asynchronous Jacobi with the exchange schedule --------------
             let mut z = vec![0.0f64; nm];
-            let mut s_host = vec![vec![vec![0.0f64; mm]; p.bodies]; nb];
+            // Contribution of source body j to local body li's elements,
+            // at ((li * bodies) + j) * M, the layout of `s_cache`.
+            let mut s_host = vec![0.0f64; nb * p.bodies * mm];
             for it in 0..p.iters {
                 // Request fresh blocks from every due owner, then wait for
                 // the replies (servicing others' requests while we wait).
@@ -178,9 +180,11 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     let id = chan_in[o].expect("channel open");
                     m.channel_wait(&cpu, id).await;
                     let base = o * nb * mm;
-                    let mut vals = vec![0.0f64; nb * mm];
-                    m.peek_f64s(proc, z_all + (base * 8) as u64, &mut vals);
-                    z[base..base + nb * mm].copy_from_slice(&vals);
+                    m.peek_f64s(
+                        proc,
+                        z_all + (base * 8) as u64,
+                        &mut z[base..base + nb * mm],
+                    );
                 }
 
                 // Recompute the due contributions; sum cached vectors.
@@ -192,12 +196,12 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                         }
                         let js = p.slot(j);
                         m.touch_read(&cpu, z_all + (js * mm * 8) as u64, body_bytes);
-                        let sij = &mut s_host[li][j];
+                        let sij = &mut s_host[(li * p.bodies + j) * mm..][..mm];
                         for e in 0..mm {
                             let mut acc = 0.0;
                             for f in 0..mm {
                                 if (i, e) != (j, f) {
-                                    acc += p.kernel(i, e, j, f) * z[js * mm + f];
+                                    acc += sys.kernel(i * mm + e, j * mm + f) * z[js * mm + f];
                                 }
                             }
                             sij[e] = acc;
@@ -216,7 +220,9 @@ pub fn try_run(p: &MseParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     let is = p.slot(i);
                     for e in 0..mm {
                         let row = i * mm + e;
-                        let total: f64 = (0..p.bodies).map(|j| s_host[li][j][e]).sum();
+                        let total: f64 = (0..p.bodies)
+                            .map(|j| s_host[(li * p.bodies + j) * mm + e])
+                            .sum();
                         z[is * mm + e] = (sys.rhs[row] - total) / sys.diag[row];
                     }
                     cpu.compute(4 * (p.bodies * mm) as u64);

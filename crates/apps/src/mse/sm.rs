@@ -97,7 +97,9 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
             // --- asynchronous Jacobi with the exchange schedule --------------
             let mut z = vec![0.0f64; nm];
-            let mut s_host = vec![vec![vec![0.0f64; mm]; p.bodies]; nb];
+            // Contribution of source body j to local body li's elements,
+            // at ((li * bodies) + j) * M, the layout of `s_cache`.
+            let mut s_host = vec![0.0f64; nb * p.bodies * mm];
             for it in 0..p.iters {
                 for li in 0..nb {
                     let i = my_bodies[li];
@@ -110,17 +112,15 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                         // them since we last looked).
                         let jaddr = body_addr(j);
                         m.touch_read(&cpu, jaddr, body_bytes).await;
-                        let mut vals = vec![0.0f64; mm];
-                        m.peek_f64s(jaddr, &mut vals);
                         let js = p.slot(j);
-                        z[js * mm..(js + 1) * mm].copy_from_slice(&vals);
+                        m.peek_f64s(jaddr, &mut z[js * mm..(js + 1) * mm]);
 
-                        let sij = &mut s_host[li][j];
+                        let sij = &mut s_host[(li * p.bodies + j) * mm..][..mm];
                         for e in 0..mm {
                             let mut acc = 0.0;
                             for f in 0..mm {
                                 if (i, e) != (j, f) {
-                                    acc += p.kernel(i, e, j, f) * z[js * mm + f];
+                                    acc += sys.kernel(i * mm + e, j * mm + f) * z[js * mm + f];
                                 }
                             }
                             sij[e] = acc;
@@ -141,7 +141,9 @@ pub fn try_run(p: &MseParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                     let is = p.slot(i);
                     for e in 0..mm {
                         let row = i * mm + e;
-                        let total: f64 = (0..p.bodies).map(|j| s_host[li][j][e]).sum();
+                        let total: f64 = (0..p.bodies)
+                            .map(|j| s_host[(li * p.bodies + j) * mm + e])
+                            .sum();
                         z[is * mm + e] = (sys.rhs[row] - total) / sys.diag[row];
                     }
                     cpu.compute(4 * (p.bodies * mm) as u64);
