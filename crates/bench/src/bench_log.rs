@@ -2,13 +2,16 @@
 //!
 //! Every `make_tables` grid invocation appends one single-line JSON
 //! record (`{"runs":[...]}` overall) so successive runs — `--jobs 1` vs
-//! `--jobs 4`, `--sim-threads 1` vs `--sim-threads 8`, before vs after an
-//! engine change — can be compared from one file.
+//! `--jobs 4`, before vs after an engine change — can be compared from
+//! one file.
 //!
 //! # Schema
 //!
 //! The current record schema is [`SCHEMA`] (3). Relative to schema 2 it
-//! adds the `"sim_threads"` field (the engine's scheduler shard count).
+//! adds the `"sim_threads"` field: the scheduler shard count of builds
+//! that could shard one simulation. Every simulation now runs on one
+//! queue, so new records always write `"sim_threads":1`; older records
+//! keep their value and their own compaction key.
 //! On every append the whole file is normalized:
 //!
 //! * **schema-2 records are migrated in place** — they gain
@@ -62,11 +65,9 @@ fn bench_key(rec: &str) -> String {
 
 /// Renders one invocation's timing record (single-line JSON, schema
 /// [`SCHEMA`]).
-#[allow(clippy::too_many_arguments)]
 pub fn bench_record(
     scale: Scale,
     jobs: usize,
-    sim_threads: usize,
     cache: bool,
     arch: &ArchParams,
     faults_spec: Option<&str>,
@@ -78,7 +79,7 @@ pub fn bench_record(
         None => "null".to_string(),
     };
     let mut rec = format!(
-        "{{\"schema\":{SCHEMA},\"scale\":\"{}\",\"jobs\":{jobs},\"sim_threads\":{sim_threads},\"cache\":{cache},\"arch_hash\":\"{:016x}\",\"faults\":{faults},\"total_wall_secs\":{total_secs:.6},\"experiments\":[",
+        "{{\"schema\":{SCHEMA},\"scale\":\"{}\",\"jobs\":{jobs},\"sim_threads\":1,\"cache\":{cache},\"arch_hash\":\"{:016x}\",\"faults\":{faults},\"total_wall_secs\":{total_secs:.6},\"experiments\":[",
         scale.name(),
         arch.stable_hash()
     );

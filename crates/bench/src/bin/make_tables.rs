@@ -3,13 +3,12 @@
 //! Usage:
 //!
 //! ```text
-//! make_tables [--test-scale] [--jobs N] [--sim-threads N] [--no-cache]
-//!             [--timeline] [--trace OUT.json] [--metrics OUT.json]
-//!             [--json OUT.json] [--faults SPEC] [--arch SPEC]
-//!             [--arch-sweep KEY=V1,V2,...] [--sweep-delta] [--diff A B]
-//!             [--diff-json OUT.json] [--obs] [--obs-json OUT.json]
-//!             [--obs-prom OUT.txt] [--fsck] [--retries N]
-//!             [--store-faults SPEC] [experiment-id ...]
+//! make_tables [--test-scale] [--jobs N] [--no-cache] [--timeline]
+//!             [--trace OUT.json] [--metrics OUT.json] [--json OUT.json]
+//!             [--faults SPEC] [--arch SPEC] [--arch-sweep KEY=V1,V2,...]
+//!             [--sweep-delta] [--diff A B] [--diff-json OUT.json] [--obs]
+//!             [--obs-json OUT.json] [--obs-prom OUT.txt] [--fsck]
+//!             [--retries N] [--store-faults SPEC] [experiment-id ...]
 //! ```
 //!
 //! With no experiment ids, every experiment runs. An id is either an
@@ -22,11 +21,9 @@
 //! run.
 //!
 //! `--jobs N` fans the grid out over N worker threads (default: all
-//! available cores). `--sim-threads N` shards each simulation's event
-//! scheduler into N quantum-synchronized per-processor queues (default 1;
-//! it composes with `--jobs`). The simulator is deterministic and results
-//! are reassembled in selection order, so stdout is byte-identical for
-//! any job count **and any `--sim-threads` value**. Per-experiment
+//! available cores); each simulation runs on one thread. The simulator
+//! is deterministic and results are reassembled in selection order, so
+//! stdout is byte-identical for any job count. Per-experiment
 //! wall-clock timings go to **stderr** and to `results/BENCH_grid.json`
 //! (appended per invocation) so the report text stays deterministic.
 //!
@@ -102,13 +99,13 @@
 //!
 //! `--obs` turns on **host**-side self-observability (`wwt_obs`): while
 //! the guest flags above attribute *simulated* cycles, `--obs` profiles
-//! the simulator itself — events/sec per scheduler shard, calendar-queue
-//! depths, `SmallCall` inline ratio, WaitCell pool recycling, run-cache
-//! traffic, per-experiment wall time — and prints a self-profile table on
+//! the simulator itself — events/sec, calendar-queue depth, `SmallCall`
+//! inline ratio, WaitCell pool recycling, run-cache traffic,
+//! per-experiment wall time — and prints a self-profile table on
 //! **stderr** (stdout stays byte-identical with or without the flag, at
-//! any `--jobs`/`--sim-threads`, clean or faulted). A background sampler
-//! also feeds a flight recorder whose last snapshots attach to any
-//! `SimError` diagnostic. `--obs-json OUT.json` writes the recorded
+//! any `--jobs`, clean or faulted). A background sampler also feeds a
+//! flight recorder whose last snapshots attach to any `SimError`
+//! diagnostic. `--obs-json OUT.json` writes the recorded
 //! snapshots as JSON; `--obs-prom OUT.txt` writes the final snapshot as
 //! Prometheus text exposition (both imply `--obs`). Grid invocations with
 //! `--obs` also record the snapshots to `results/OBS_grid.json` next to
@@ -144,7 +141,7 @@ fn with_id(path: &str, id: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: make_tables [--test-scale] [--jobs N] [--sim-threads N] [--no-cache] [--timeline] \
+        "usage: make_tables [--test-scale] [--jobs N] [--no-cache] [--timeline] \
          [--trace OUT.json] [--metrics OUT.json] [--json OUT.json] \
          [--faults seed=S,drop=P,dup=P,reorder=P,jitter=CYCLES,\
          fail=PROC@FROM..UNTIL,slow=PROC@FROM..UNTILxFACTOR] \
@@ -251,46 +248,13 @@ fn cache_summary() {
     );
 }
 
-/// With `--obs --sim-threads N` (N ≥ 2), runs a short synthetic ring
-/// workload on the threaded `ParEngine` at that shard count so the
-/// self-profile includes measured quantum-barrier costs — the machine
-/// models still run on the single-threaded sharded scheduler (ROADMAP
-/// item 1), so this calibration is the only way to see what the parallel
-/// harness itself will cost at the requested width. Stderr only; the
-/// simulated experiment output is untouched.
-fn obs_calibrate_parengine(sim_threads: usize) {
-    use wwt_core::sim::parallel::{workloads, ParConfig, ParEngine};
-    let nprocs = sim_threads * 4;
-    let mut eng = ParEngine::new(
-        nprocs,
-        ParConfig {
-            shards: sim_threads,
-            lookahead: 100,
-            quantum: 100,
-        },
-    );
-    workloads::install_ring(&mut eng, nprocs, 200, 50);
-    let report = eng.run();
-    eprintln!(
-        "obs: parengine calibration ring ({sim_threads} shards, {nprocs} procs, {} deliveries)",
-        report.delivered()
-    );
-}
-
 /// Emits the end-of-run host-metrics outputs: the self-profile table on
 /// stderr plus the optional JSON / Prometheus files. Returns the recorded
 /// snapshots as JSON (flight recorder + one final snapshot) so the grid
 /// path can also drop it next to `BENCH_grid.json`. Stdout is never
 /// touched — simulated output must stay byte-identical under `--obs`.
-fn obs_finish(
-    sim_threads: usize,
-    obs_json_out: Option<&str>,
-    obs_prom_out: Option<&str>,
-) -> String {
+fn obs_finish(obs_json_out: Option<&str>, obs_prom_out: Option<&str>) -> String {
     use wwt_core::obs;
-    if sim_threads >= 2 {
-        obs_calibrate_parengine(sim_threads);
-    }
     let last = obs::snapshot_now();
     eprint!("{}", obs::render_table(&last));
     let mut snaps = obs::recent_snapshots();
@@ -312,7 +276,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
     let mut jobs = default_jobs();
-    let mut sim_threads = 1usize;
     let mut use_cache = true;
     let mut timeline = false;
     let mut trace_out: Option<String> = None;
@@ -337,13 +300,6 @@ fn main() {
             "--test-scale" => scale = Scale::Test,
             "--jobs" => {
                 jobs = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--sim-threads" => {
-                sim_threads = it
                     .next()
                     .and_then(|n| n.parse().ok())
                     .filter(|&n| n >= 1)
@@ -430,8 +386,8 @@ fn main() {
     });
 
     if obs {
-        // Enable before any engine exists: the sharded queue caches the
-        // flag at construction. The sampler feeds the flight recorder
+        // Enable before any engine exists: the engine caches the flag at
+        // construction. The sampler feeds the flight recorder
         // that SimError diagnostics attach.
         wwt_core::obs::enable();
         wwt_core::obs::start_sampler(100);
@@ -453,7 +409,6 @@ fn main() {
         faults,
         arch,
         phases: false,
-        sim_threads,
         retries,
         ..RunnerConfig::new(scale)
     };
@@ -537,11 +492,7 @@ fn main() {
             cache_summary();
         }
         if obs {
-            obs_finish(
-                sim_threads,
-                obs_json_out.as_deref(),
-                obs_prom_out.as_deref(),
-            );
+            obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
         }
         return;
     }
@@ -603,11 +554,7 @@ fn main() {
             cache_summary();
         }
         if obs {
-            obs_finish(
-                sim_threads,
-                obs_json_out.as_deref(),
-                obs_prom_out.as_deref(),
-            );
+            obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
         }
         return;
     }
@@ -692,7 +639,6 @@ fn main() {
     let record = bench_log::bench_record(
         scale,
         cfg.jobs,
-        cfg.sim_threads,
         use_cache,
         &arch,
         faults_spec.as_deref(),
@@ -703,11 +649,7 @@ fn main() {
         eprintln!("could not record results/BENCH_grid.json: {err}");
     }
     if obs {
-        let snaps_json = obs_finish(
-            sim_threads,
-            obs_json_out.as_deref(),
-            obs_prom_out.as_deref(),
-        );
+        let snaps_json = obs_finish(obs_json_out.as_deref(), obs_prom_out.as_deref());
         // The self-profile artifact rides along with the grid's timing
         // record (same best-effort discipline as BENCH_grid.json).
         // Atomic temp + rename: a killed run leaves the previous

@@ -76,12 +76,6 @@ pub struct RunnerConfig {
     /// Participates in the run-cache key through the engine
     /// configuration.
     pub phases: bool,
-    /// Scheduler shards per simulation (`SimConfig::sim_threads`): the
-    /// quantum-synchronized engine's per-processor event-queue sharding.
-    /// Results are byte-identical for every value; it composes with
-    /// `jobs`, which parallelizes across experiments. Participates in the
-    /// run-cache key through the engine configuration.
-    pub sim_threads: usize,
     /// How many times a transiently-failed job (watchdog expiry — the
     /// stall class that can clear on a re-run) is re-attempted before its
     /// cell is reported failed. Deterministic failures (deadlock, config
@@ -104,7 +98,6 @@ impl RunnerConfig {
             faults: None,
             arch: ArchParams::default(),
             phases: false,
-            sim_threads: 1,
             retries: 2,
             retry_backoff_ms: 50,
         }
@@ -122,7 +115,6 @@ impl RunnerConfig {
             // (e.g. a permanent fail window silences one node), so give
             // them a progress watchdog instead of an open-ended hang.
             watchdog: self.faults.is_some().then_some(10_000_000),
-            sim_threads: self.sim_threads.max(1),
             ..wwt_sim::SimConfig::default()
         }
     }

@@ -8,8 +8,8 @@ use std::rc::Rc;
 
 use wwt_mem::{touch, AccessKind, Cache, NodeMem, Tlb, TouchOutcome};
 use wwt_sim::{
-    Counter, Cpu, Cycles, Engine, FastMap, HwBarrier, Kind, Mark, Metric, PacketFate, ProcId,
-    Scope, ScopeGuard, Sim, TraceWhat, WaitCell, WaitTarget,
+    CellPool, Counter, Cpu, Cycles, Engine, FastMap, HwBarrier, Kind, Mark, Metric, PacketFate,
+    ProcId, Scope, ScopeGuard, Sim, TraceWhat, WaitCell, WaitTarget,
 };
 
 use crate::channel::{ChannelId, RecvChannel};
@@ -135,6 +135,8 @@ pub struct MpMachine {
     pub(crate) nodes: RefCell<Vec<MpNode>>,
     handlers: RefCell<FastMap<u8, Rc<HandlerFn>>>,
     barrier: HwBarrier,
+    /// Recycled cells for NI receive waits (one per blocking poll).
+    rx_pool: CellPool,
     /// Cached [`Sim::tracing`] (single branch on packet paths when off).
     tracing: bool,
     /// Whether the reliable-delivery layer is active: true exactly when
@@ -171,6 +173,7 @@ impl MpMachine {
             barrier: HwBarrier::new(n, config.arch.barrier_latency),
             config,
             handlers: RefCell::new(FastMap::default()),
+            rx_pool: CellPool::new(),
             tracing,
             reliable,
         })
@@ -371,7 +374,7 @@ impl MpMachine {
                     }
                     let this = Rc::clone(self);
                     self.sim
-                        .call_at_for(pkt.dest, arrival + extra, move || this.deliver(pkt))
+                        .call_at(arrival + extra, move || this.deliver(pkt))
                         .expect("arrival is clamped to the present");
                 }
                 PacketFate::Deliver { extra } => {
@@ -391,7 +394,7 @@ impl MpMachine {
         }
         let this = Rc::clone(self);
         self.sim
-            .call_at_for(pkt.dest, arrival, move || this.deliver(pkt))
+            .call_at(arrival, move || this.deliver(pkt))
             .expect("arrival is clamped to the present");
     }
 
@@ -465,7 +468,7 @@ impl MpMachine {
             let this = Rc::clone(self);
             let dest = pkt.dest;
             self.sim
-                .call_at_for(src, deadline, move || this.retransmit_timer(src, dest))
+                .call_at(deadline, move || this.retransmit_timer(src, dest))
                 .expect("deadline is in the future");
         }
     }
@@ -579,14 +582,14 @@ impl MpMachine {
             Step::Rearm(at) => {
                 let this = Rc::clone(self);
                 self.sim
-                    .call_at_for(src, at, move || this.retransmit_timer(src, dest))
+                    .call_at(at, move || this.retransmit_timer(src, dest))
                     .expect("deadline is in the future");
             }
             Step::Fire(at) => {
                 self.retransmit_unacked(src, dest);
                 let this = Rc::clone(self);
                 self.sim
-                    .call_at_for(src, at, move || this.retransmit_timer(src, dest))
+                    .call_at(at, move || this.retransmit_timer(src, dest))
                     .expect("deadline is in the future");
             }
         }
@@ -710,7 +713,7 @@ impl MpMachine {
         let mut nodes = self.nodes.borrow_mut();
         let node = &mut nodes[p.index()];
         assert!(node.rx_waiter.is_none(), "{p} already blocked on the NI");
-        let cell = WaitCell::new();
+        let cell = self.rx_pool.take();
         node.rx_waiter = Some(cell.clone());
         cell
     }
@@ -754,6 +757,7 @@ impl MpMachine {
                     let cell = self.arm_rx_waiter(cpu.id());
                     cell.wait_labeled(cpu, Kind::Wait, "message receive", WaitTarget::Any)
                         .await;
+                    self.rx_pool.put(cell);
                 }
             }
         }

@@ -154,9 +154,9 @@ impl Ctr {
 /// Per-scheduler-shard counters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardCtr {
-    /// Events pushed onto this shard's calendar queue.
+    /// Events pushed onto the engine's calendar queue (index 0).
     SimEventsPushed,
-    /// Events popped from this shard's calendar queue.
+    /// Events popped from the engine's calendar queue (index 0).
     SimEventsPopped,
     /// Quantum windows this `ParEngine` shard processed.
     ParQuanta,
@@ -191,7 +191,7 @@ impl ShardCtr {
 /// Per-scheduler-shard high-water gauges (monotone max).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardGauge {
-    /// Calendar-queue depth high-water mark.
+    /// Calendar-queue depth high-water mark (index 0).
     SimQueueDepthHwm,
 }
 

@@ -1,8 +1,8 @@
 //! A heap-avoiding `FnOnce()` container for scheduled simulator actions.
 //!
 //! Every coherence transaction, message delivery, and replacement hint
-//! schedules a callback through [`crate::Sim::call_at`] /
-//! [`crate::Sim::call_at_for`]. Boxing each closure put tens of millions
+//! schedules a callback through [`crate::Sim::call_at`]. Boxing each
+//! closure put tens of millions
 //! of 32–40 byte heap allocations on the paper-scale runs' hot path;
 //! allocator time alone was close to a quarter of wall clock.
 //! [`SmallCall`] stores closures of up to [`INLINE_BYTES`] captured bytes
@@ -13,9 +13,10 @@ use std::fmt;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 /// Inline capture budget, in bytes. The hot callbacks capture an
-/// `Rc<Machine>`, a block address, a completion cell, and a couple of
-/// scalars — comfortably under this; anything bigger is boxed.
-pub const INLINE_BYTES: usize = 48;
+/// `Rc<Machine>` plus either a block address, a completion cell and a
+/// couple of scalars (SM) or a whole 48-byte packet (MP delivery, the
+/// largest at 56 bytes); anything bigger is boxed.
+pub const INLINE_BYTES: usize = 56;
 
 /// Inline storage measured in `u64` words, which also fixes its
 /// alignment: closures aligned stricter than `u64` take the boxed path.

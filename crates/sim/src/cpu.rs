@@ -185,13 +185,13 @@ impl Cpu {
     }
 
     /// Schedules a machine-model callback `delay` cycles after this
-    /// processor's local clock, on this processor's scheduler shard.
+    /// processor's local clock.
     pub fn call_after(&self, delay: Cycles, f: impl FnOnce() + 'static) {
         let at = self.clock() + delay;
         // The callback time is relative to the local clock, which may lag
         // global time if another processor drove time forward; clamp.
         self.sim
-            .call_at_for(self.id, at.max(self.now()), f)
+            .call_at(at.max(self.now()), f)
             .expect("clamped to the present");
     }
 

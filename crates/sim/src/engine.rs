@@ -12,7 +12,7 @@ use crate::account::{Counter, Counters, CycleMatrix, Kind, Scope};
 use crate::callback::SmallCall;
 use crate::cpu::Cpu;
 use crate::error::{BlockedProc, SimError, StallReport, WaitTarget};
-use crate::event::{Action, ShardedQueue};
+use crate::event::{Action, CalendarQueue, Event};
 use crate::fault::{FaultConfig, FaultLog, FaultPlan, PacketFate};
 use crate::report::{ProcReport, SimReport};
 use crate::time::{Cycles, ProcId};
@@ -62,17 +62,6 @@ pub struct SimConfig {
     /// records nothing; like tracing, the flag is cached in every [`Cpu`]
     /// handle, so disabled marking costs one branch per boundary.
     pub phase_marks: bool,
-    /// Shard count for the quantum-synchronized scheduler: simulated
-    /// processors are partitioned into this many contiguous shards, each
-    /// with its own calendar event queue; cross-processor events are
-    /// routed to the owning shard and merged back in deterministic
-    /// `(time, seq)` order. Results are **byte-identical for any value**
-    /// — the merge reproduces the single-queue pop order exactly — so
-    /// this only selects the engine's internal organization (and, for
-    /// `Send` workloads, the worker-thread count of
-    /// [`crate::parallel::ParEngine`]). Clamped to the processor count;
-    /// `1` (the default) is a single global queue.
-    pub sim_threads: usize,
 }
 
 impl Default for SimConfig {
@@ -86,7 +75,6 @@ impl Default for SimConfig {
             faults: None,
             watchdog: None,
             phase_marks: false,
-            sim_threads: 1,
         }
     }
 }
@@ -153,21 +141,43 @@ impl Proc {
 
 pub(crate) struct Inner {
     pub(crate) now: Cycles,
-    pub(crate) queue: ShardedQueue,
+    queue: CalendarQueue,
+    /// Sequence number of the next scheduled event: the FIFO tie-break
+    /// among events at one cycle.
+    next_seq: u64,
+    /// Host-metrics flag, cached at construction (`SimConfig::trace`
+    /// discipline: one predictable branch per push/pop, no atomic load).
+    obs: bool,
     pub(crate) procs: Vec<Proc>,
     pub(crate) config: SimConfig,
     pub(crate) events_processed: u64,
     pub(crate) trace: Option<Box<dyn TraceSink>>,
     pub(crate) faults: Option<Box<FaultPlan>>,
-    /// Cached shard routing: `shard_of(p) = p * nshards / nprocs`.
-    nshards: usize,
-    nprocs: usize,
 }
 
 impl Inner {
-    /// The shard owning processor `p` (contiguous blocks).
-    fn shard_of(&self, p: ProcId) -> usize {
-        p.index() * self.nshards / self.nprocs
+    /// Queues `action` at `at` behind every event already scheduled for
+    /// that cycle.
+    fn schedule(&mut self, at: Cycles, action: Action) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(at, seq, action);
+        if self.obs {
+            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPushed, 0, 1);
+            wwt_obs::shard_max(
+                wwt_obs::ShardGauge::SimQueueDepthHwm,
+                0,
+                self.queue.len() as u64,
+            );
+        }
+    }
+
+    fn next_event(&mut self) -> Option<Event> {
+        let e = self.queue.pop();
+        if self.obs && e.is_some() {
+            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPopped, 0, 1);
+        }
+        e
     }
 }
 
@@ -190,11 +200,12 @@ impl fmt::Debug for Sim {
 
 impl Sim {
     fn new(nprocs: usize, config: SimConfig) -> Rc<Self> {
-        let nshards = config.sim_threads.clamp(1, nprocs);
         Rc::new(Sim {
             inner: RefCell::new(Inner {
                 now: 0,
-                queue: ShardedQueue::new(nshards),
+                queue: CalendarQueue::new(),
+                next_seq: 0,
+                obs: wwt_obs::enabled(),
                 procs: (0..nprocs).map(|_| Proc::new()).collect(),
                 config,
                 events_processed: 0,
@@ -202,8 +213,6 @@ impl Sim {
                     .trace
                     .then(|| Box::new(TraceBuffer::new()) as Box<dyn TraceSink>),
                 faults: config.faults.map(|cfg| Box::new(FaultPlan::new(cfg))),
-                nshards,
-                nprocs,
             }),
         })
     }
@@ -229,7 +238,8 @@ impl Sim {
         self.inner.borrow().events_processed
     }
 
-    /// Schedules a machine-model callback at absolute time `at`.
+    /// Schedules a machine-model callback at absolute time `at`: a packet
+    /// delivery, a directory message, a retransmit timer.
     ///
     /// # Errors
     ///
@@ -241,37 +251,7 @@ impl Sim {
         if at < inner.now {
             return Err(SimError::PastEvent { at, now: inner.now });
         }
-        inner.queue.push(at, Action::Call(SmallCall::new(f)));
-        Ok(())
-    }
-
-    /// Schedules a machine-model callback at absolute time `at` on behalf
-    /// of processor `p`: the event is routed to `p`'s shard of the
-    /// quantum-synchronized scheduler. Machine models use this for every
-    /// cross-processor interaction — a packet delivery, a directory
-    /// message, a retransmit timer — naming the processor whose state the
-    /// callback touches, which is how cross-shard sends flow through the
-    /// shard boundary. Ordering (and therefore every simulation result)
-    /// is identical to [`Sim::call_at`] regardless of shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PastEvent`] if `at` precedes the current
-    /// global time, exactly like [`Sim::call_at`].
-    pub fn call_at_for(
-        &self,
-        p: ProcId,
-        at: Cycles,
-        f: impl FnOnce() + 'static,
-    ) -> Result<(), SimError> {
-        let mut inner = self.inner.borrow_mut();
-        if at < inner.now {
-            return Err(SimError::PastEvent { at, now: inner.now });
-        }
-        let shard = inner.shard_of(p);
-        inner
-            .queue
-            .push_to(shard, at, Action::Call(SmallCall::new(f)));
+        inner.schedule(at, Action::Call(SmallCall::new(f)));
         Ok(())
     }
 
@@ -317,13 +297,11 @@ impl Sim {
             .map(|plan| plan.log().clone())
     }
 
-    /// Schedules the task of processor `p` to be re-polled at time `at`,
-    /// on `p`'s shard of the scheduler.
+    /// Schedules the task of processor `p` to be re-polled at time `at`.
     pub fn wake_at(&self, p: ProcId, at: Cycles) {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
-        let shard = inner.shard_of(p);
-        inner.queue.push_to(shard, at, Action::Resume(p));
+        inner.schedule(at, Action::Resume(p));
     }
 
     /// Returns the local clock of processor `p`.
@@ -492,7 +470,7 @@ impl Engine {
         loop {
             let event = {
                 let mut inner = self.sim.inner.borrow_mut();
-                match inner.queue.pop() {
+                match inner.next_event() {
                     Some(e) => {
                         inner.now = e.time;
                         inner.events_processed += 1;

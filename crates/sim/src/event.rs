@@ -1,28 +1,26 @@
-//! Event scheduling: the calendar-queue scheduler, its sharded
-//! (quantum-synchronized) composition, and the legacy binary-heap queue.
+//! Event scheduling: the engine's two-level calendar queue and the
+//! binary-heap reference queue.
 //!
 //! Events are ordered by (timestamp, sequence number); the sequence number
 //! makes processing order deterministic for simultaneous events (FIFO).
-//! Three schedulers implement that contract:
+//! Two schedulers implement that contract:
 //!
-//! * [`CalendarQueue`] — the engine's scheduler. A ring of per-cycle FIFO
-//!   slots covering the near future plus an overflow heap for far-future
-//!   events. Simulated events overwhelmingly land within a few network
-//!   latencies of the present, so push and pop are O(1) instead of the
-//!   heap's O(log n).
-//! * [`ShardedQueue`] — one [`CalendarQueue`] per shard of the simulated
-//!   machine, sharing a single global sequence counter. Cross-processor
-//!   events are routed to the owning shard and popped by a deterministic
-//!   (time, seq) merge across shard heads, which makes the pop order —
-//!   and therefore every simulation result — byte-identical to a single
-//!   global queue for **any** shard count. This is the WWT discipline's
-//!   event-queue half: each shard's queue can be advanced independently
-//!   up to a quantum boundary, and the merge is the boundary exchange.
+//! * [`CalendarQueue`] — the engine's scheduler. Every pending event lives
+//!   in one slab; the queue threads slab indices onto FIFO lists at two
+//!   granularities: 4,096 one-cycle slots for the current 4,096-cycle
+//!   window, and a coarse wheel of 4,096 window-wide buckets behind them,
+//!   a horizon of 16.7M cycles. Only events beyond the horizon wait in a
+//!   binary heap of 24-byte keys. Push and pop are O(1) within the
+//!   horizon, and neither allocates once the slab has grown to the peak
+//!   number of pending events. In the Wind Tunnel discipline a processor
+//!   runs ahead of global time and its messages arrive at its own clock
+//!   plus the network latency, so bulk senders post deliveries up to a
+//!   million cycles ahead: the coarse wheel keeps those off the heap.
 //! * [`EventQueue`] — the original `BinaryHeap` scheduler, kept as the
-//!   reference implementation and the baseline for the scheduler benches
-//!   (`benches/scheduler.rs`).
+//!   reference implementation the calendar is tested against and the
+//!   baseline for the scheduler benches (`benches/scheduler.rs`).
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -118,117 +116,161 @@ impl EventQueue {
     }
 }
 
-/// Ring capacity of the calendar: events within this many cycles of the
-/// cursor live in per-cycle slots; anything further sits in the overflow
-/// heap until the cursor gets close. Covers dozens of network latencies,
-/// so only long fault timers (retransmit deadlines, jitter tails) ever
-/// overflow.
-const RING: usize = 4096;
-const RING_MASK: u64 = (RING as u64) - 1;
-/// One occupancy bit per slot, one summary bit per 64-slot word.
-const WORDS: usize = RING / 64;
+/// Lists per level: one-cycle slots in a window, windows in the wheel.
+const SLOTS: usize = 4096;
+/// `log2(SLOTS)`: a time's window is `time >> SHIFT`.
+const SHIFT: u32 = SLOTS.trailing_zeros();
+const MASK: u64 = SLOTS as u64 - 1;
+/// End of a slab-index list.
+const NIL: u32 = u32::MAX;
 
-/// A far-future event parked in the overflow heap, ordered like [`Event`].
-struct Parked {
+/// A pending event in the slab. Free entries are chained through `next`
+/// and hold a placeholder action.
+struct Node {
     time: Cycles,
     seq: u64,
+    next: u32,
     action: Action,
 }
 
-impl PartialEq for Parked {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Parked {}
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Parked {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behaviour inside BinaryHeap.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
+/// A FIFO of slab indices. `tail` is meaningful only while `head != NIL`.
+#[derive(Copy, Clone)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
-/// One calendar slot: the FIFO of events scheduled for one exact cycle.
-/// `head` indexes the next event to pop; the vector is cleared (not
-/// shifted) once fully drained, so a slot's allocation is reused across
-/// laps of the ring.
-#[derive(Default)]
-struct Slot {
-    head: usize,
-    items: Vec<(u64, Action)>,
-}
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
-impl Slot {
-    fn is_drained(&self) -> bool {
-        self.head >= self.items.len()
-    }
-}
-
-/// A calendar-queue scheduler: O(1) push and pop with the exact
-/// (time, seq) pop order of [`EventQueue`].
-///
-/// The near future — `RING` cycles from the cursor — is a ring of
-/// per-cycle slots, each a FIFO (sequence numbers within one cycle are
-/// insertion-ordered, so a plain vector is already sorted). A two-level
-/// occupancy bitmap finds the next non-empty slot in a handful of word
-/// scans. Far-future events wait in an overflow heap and migrate into the
-/// ring as the cursor approaches; migrated events splice into their
-/// slot's pending region by sequence number, preserving the global FIFO
-/// tie-break.
-pub struct CalendarQueue {
-    slots: Vec<Slot>,
-    /// Occupancy bit per slot.
-    words: [u64; WORDS],
-    /// Summary bit per word of `words`.
+/// One occupancy bit per list, one summary bit per 64-list word.
+struct Occupancy {
+    words: [u64; SLOTS / 64],
     summary: u64,
-    /// Lower bound on every ring event's time; advanced by pops and by
-    /// sparse-gap jumps. Never rewound: the ring's slot→time mapping is
-    /// anchored to it.
-    cursor: Cycles,
-    /// Events in the ring (excludes overflow and front).
-    ring_len: usize,
-    overflow: BinaryHeap<Parked>,
-    /// Events that arrived *behind* the cursor. In a sharded queue a
-    /// shard's cursor may jump ahead of global time (a sparse-gap jump to
-    /// its own overflow minimum) and then be handed an event at an
-    /// earlier, still-legal global time. Such events are strictly earlier
-    /// than everything in the ring, so this heap always pops first.
-    front: BinaryHeap<Parked>,
-    /// Memoized head key. `peek_key` fills it; `pop` clears it; `push`
-    /// tightens it when the new event undercuts the cached head. Keeps
-    /// the sharded merge — which peeks every shard per pop — from
-    /// re-scanning N-1 unchanged bitmaps per event.
-    head_cache: Option<(Cycles, u64)>,
+}
+
+impl Occupancy {
+    fn set(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+        self.summary |= 1 << (i / 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+        if self.words[i / 64] == 0 {
+            self.summary &= !(1 << (i / 64));
+        }
+    }
+
+    /// The lowest occupied index.
+    fn first(&self) -> Option<usize> {
+        if self.summary == 0 {
+            return None;
+        }
+        let w = self.summary.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// The first occupied index at or after `start`, in circular order.
+    fn next_from(&self, start: usize) -> Option<usize> {
+        let (sw, sb) = (start / 64, start % 64);
+        let here = self.words[sw] & (!0u64 << sb);
+        if here != 0 {
+            return Some(sw * 64 + here.trailing_zeros() as usize);
+        }
+        let later = self.summary & (!1u64 << sw);
+        if later == 0 {
+            // Wrap around: everything occupied lies before `start`.
+            return self.first();
+        }
+        let w = later.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+}
+
+/// A two-level calendar-queue scheduler: O(1) push and pop with the
+/// exact (time, seq) pop order of [`EventQueue`].
+///
+/// Windows are aligned 4,096-cycle spans of time. The fine slots hold the
+/// current window's events, one FIFO per cycle; the coarse wheel holds
+/// the next 4,095 windows' events, one unsorted FIFO per window; the far
+/// heap holds everything later. When the current window is exhausted the
+/// queue steps to the next occupied window — or, with the wheel empty,
+/// jumps straight to the far heap's earliest window — pulls the far
+/// events that the new horizon now reaches into the wheel, and spreads
+/// the new window's bucket over the fine slots.
+///
+/// Each fine slot stays sorted by sequence number without ever sorting:
+/// a bucket receives its far-heap migrants all at once, in (time, seq)
+/// order, the moment its window enters the horizon, and every direct push
+/// after that carries a larger sequence number than any of them.
+///
+/// Two rules keep this exact, and the engine obeys both: sequence
+/// numbers increase with every push, and no event is pushed earlier than
+/// the last one popped.
+pub struct CalendarQueue {
+    /// Every event, pending or free.
+    nodes: Vec<Node>,
+    /// Head of the free-entry chain.
+    free: u32,
+    /// Pending events.
+    len: usize,
+    /// The window the fine slots hold (`time >> SHIFT`).
+    window: u64,
+    /// Time of the last popped event.
+    now: Cycles,
+    fine: Box<[List; SLOTS]>,
+    fine_occ: Occupancy,
+    coarse: Box<[List; SLOTS]>,
+    coarse_occ: Occupancy,
+    /// Events beyond the coarse wheel's horizon, as `(time, seq, index)`.
+    far: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
 }
 
 impl fmt::Debug for CalendarQueue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CalendarQueue")
-            .field("cursor", &self.cursor)
-            .field("ring_len", &self.ring_len)
-            .field("overflow", &self.overflow.len())
+            .field("len", &self.len)
+            .field("window", &self.window)
+            .field("slab", &self.nodes.len())
+            .field("far", &self.far.len())
             .finish()
     }
 }
 
 impl Default for CalendarQueue {
     fn default() -> Self {
-        CalendarQueue {
-            slots: (0..RING).map(|_| Slot::default()).collect(),
-            words: [0; WORDS],
+        let lists = || Box::new([EMPTY; SLOTS]);
+        let occupancy = || Occupancy {
+            words: [0; SLOTS / 64],
             summary: 0,
-            cursor: 0,
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
-            front: BinaryHeap::new(),
-            head_cache: None,
+        };
+        CalendarQueue {
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+            window: 0,
+            now: 0,
+            fine: lists(),
+            fine_occ: occupancy(),
+            coarse: lists(),
+            coarse_occ: occupancy(),
+            far: BinaryHeap::new(),
         }
     }
+}
+
+/// Appends slab entry `i` to `list`.
+fn append(nodes: &mut [Node], list: &mut List, i: u32) {
+    nodes[i as usize].next = NIL;
+    if list.head == NIL {
+        list.head = i;
+    } else {
+        nodes[list.tail as usize].next = i;
+    }
+    list.tail = i;
 }
 
 impl CalendarQueue {
@@ -239,272 +281,126 @@ impl CalendarQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len() + self.front.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Schedules `(time, seq, action)`. Any `time` is accepted: events
-    /// behind the cursor (possible after a sparse-gap cursor jump in a
-    /// sharded queue) go to the front heap and pop before the ring.
+    /// Schedules `(time, seq, action)`. `seq` must exceed every earlier
+    /// push's sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` precedes the last popped event.
     pub fn push(&mut self, time: Cycles, seq: u64, action: Action) {
-        if let Some(c) = self.head_cache {
-            if (time, seq) < c {
-                self.head_cache = Some((time, seq));
-            }
-        }
-        if time < self.cursor {
-            self.front.push(Parked { time, seq, action });
-            return;
-        }
-        if time - self.cursor >= RING as u64 {
-            self.overflow.push(Parked { time, seq, action });
-            return;
-        }
-        self.ring_insert(time, seq, action);
-    }
-
-    fn ring_insert(&mut self, time: Cycles, seq: u64, action: Action) {
-        let idx = (time & RING_MASK) as usize;
-        let slot = &mut self.slots[idx];
-        // Fast path: sequence numbers grow monotonically, so appends are
-        // already sorted. Only overflow migration can arrive out of order.
-        let pending = &slot.items[slot.head.min(slot.items.len())..];
-        if pending.last().is_none_or(|&(s, _)| s < seq) {
-            slot.items.push((seq, action));
+        assert!(
+            time >= self.now,
+            "event at {time} precedes the last popped event at {}",
+            self.now
+        );
+        let node = Node {
+            time,
+            seq,
+            next: NIL,
+            action,
+        };
+        let i = if self.free == NIL {
+            let i = self.nodes.len();
+            assert!(i < NIL as usize, "more than 2^32 - 1 pending events");
+            self.nodes.push(node);
+            i as u32
         } else {
-            let pos = slot.head + pending.partition_point(|&(s, _)| s < seq);
-            slot.items.insert(pos, (seq, action));
-        }
-        self.words[idx / 64] |= 1 << (idx % 64);
-        self.summary |= 1 << (idx / 64);
-        self.ring_len += 1;
+            let i = self.free;
+            let slot = &mut self.nodes[i as usize];
+            self.free = slot.next;
+            *slot = node;
+            i
+        };
+        self.len += 1;
+        self.place(i, time, seq);
     }
 
-    /// Pulls every overflow event that now fits in the ring. When the
-    /// ring is empty the cursor first jumps to the overflow minimum, so a
-    /// sparse far future costs one heap pop, not a walk of empty slots.
-    fn migrate_overflow(&mut self) {
-        if self.ring_len == 0 {
-            if let Some(top) = self.overflow.peek() {
-                self.cursor = top.time;
-            }
-        }
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|p| p.time - self.cursor < RING as u64)
-        {
-            let p = self.overflow.pop().expect("peeked");
-            self.ring_insert(p.time, p.seq, p.action);
-        }
-    }
-
-    /// The slot index of the next non-empty slot at or after the cursor,
-    /// in circular (= time) order. `None` when the ring is empty.
-    fn next_slot(&self) -> Option<usize> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let start = (self.cursor & RING_MASK) as usize;
-        let (sw, sb) = (start / 64, start % 64);
-        // First word: only bits at or after the start position.
-        let first = self.words[sw] & (!0u64 << sb);
-        if first != 0 {
-            return Some(sw * 64 + first.trailing_zeros() as usize);
-        }
-        // Remaining words in circular order via the summary bitmap.
-        for step in 1..=WORDS {
-            let w = (sw + step) % WORDS;
-            if self.summary & (1 << w) != 0 {
-                let bits = if w == sw {
-                    // Wrapped all the way: the bits before the start.
-                    self.words[w] & !(!0u64 << sb)
-                } else {
-                    self.words[w]
-                };
-                if bits != 0 {
-                    return Some(w * 64 + bits.trailing_zeros() as usize);
-                }
-            }
-        }
-        None
-    }
-
-    /// The absolute time a ring slot currently represents: the next time
-    /// at or after the cursor that maps onto it.
-    fn slot_time(&self, idx: usize) -> Cycles {
-        let base = self.cursor & !RING_MASK;
-        let t = base + idx as u64;
-        if t >= self.cursor {
-            t
+    /// Files slab entry `i` on the level that covers `time`.
+    fn place(&mut self, i: u32, time: Cycles, seq: u64) {
+        let ahead = (time >> SHIFT) - self.window;
+        if ahead == 0 {
+            let s = (time & MASK) as usize;
+            append(&mut self.nodes, &mut self.fine[s], i);
+            self.fine_occ.set(s);
+        } else if ahead < SLOTS as u64 {
+            let b = ((time >> SHIFT) & MASK) as usize;
+            append(&mut self.nodes, &mut self.coarse[b], i);
+            self.coarse_occ.set(b);
         } else {
-            t + RING as u64
+            self.far.push(Reverse((time, seq, i)));
         }
     }
 
-    /// The `(time, seq)` key of the earliest event without removing it.
-    pub fn peek_key(&mut self) -> Option<(Cycles, u64)> {
-        if let Some(k) = self.head_cache {
-            return Some(k);
+    /// Moves to the next window that holds events: the next occupied
+    /// coarse bucket, or the far heap's earliest window when the wheel is
+    /// empty. Returns `false` when the queue is empty.
+    fn advance(&mut self) -> bool {
+        let start = ((self.window + 1) & MASK) as usize;
+        self.window = match self.coarse_occ.next_from(start) {
+            Some(b) => self.window + ((b as u64).wrapping_sub(self.window) & MASK),
+            None => match self.far.peek() {
+                Some(Reverse((t, _, _))) => t >> SHIFT,
+                None => return false,
+            },
+        };
+        // Spread the new window's bucket over the fine slots, in order.
+        let b = (self.window & MASK) as usize;
+        let mut i = std::mem::replace(&mut self.coarse[b], EMPTY).head;
+        self.coarse_occ.clear(b);
+        while i != NIL {
+            let next = self.nodes[i as usize].next;
+            let s = (self.nodes[i as usize].time & MASK) as usize;
+            append(&mut self.nodes, &mut self.fine[s], i);
+            self.fine_occ.set(s);
+            i = next;
         }
-        // Front events are strictly behind the cursor, hence strictly
-        // earlier than every ring and overflow event.
-        if let Some(p) = self.front.peek() {
-            let k = (p.time, p.seq);
-            self.head_cache = Some(k);
-            return Some(k);
+        // Far events the new horizon reaches, in (time, seq) order.
+        while let Some(&Reverse((t, seq, i))) = self.far.peek() {
+            if (t >> SHIFT) - self.window >= SLOTS as u64 {
+                break;
+            }
+            self.far.pop();
+            self.place(i, t, seq);
         }
-        self.migrate_overflow();
-        let idx = self.next_slot()?;
-        let slot = &self.slots[idx];
-        let k = (self.slot_time(idx), slot.items[slot.head].0);
-        self.head_cache = Some(k);
-        Some(k)
+        true
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.head_cache = None;
-        if let Some(p) = self.front.pop() {
-            // The cursor stays put: it anchors the ring mapping and is
-            // already ahead of this event.
-            return Some(Event {
-                time: p.time,
-                seq: p.seq,
-                action: p.action,
-            });
+        let s = match self.fine_occ.first() {
+            Some(s) => s,
+            None if self.advance() => self.fine_occ.first().expect("advance fills a slot"),
+            None => return None,
+        };
+        let list = &mut self.fine[s];
+        let i = list.head;
+        let node = &mut self.nodes[i as usize];
+        list.head = node.next;
+        if list.head == NIL {
+            self.fine_occ.clear(s);
         }
-        self.migrate_overflow();
-        let idx = self.next_slot()?;
-        let time = self.slot_time(idx);
-        self.cursor = time;
-        let slot = &mut self.slots[idx];
-        let (seq, action) = std::mem::replace(
-            &mut slot.items[slot.head],
-            (0, Action::Resume(ProcId::new(0))),
-        );
-        slot.head += 1;
-        if slot.is_drained() {
-            slot.items.clear();
-            slot.head = 0;
-            self.words[idx / 64] &= !(1 << (idx % 64));
-            if self.words[idx / 64] == 0 {
-                self.summary &= !(1 << (idx / 64));
-            }
-        }
-        self.ring_len -= 1;
+        let action = std::mem::replace(&mut node.action, Action::Resume(ProcId::new(0)));
+        let (time, seq) = (node.time, node.seq);
+        node.next = self.free;
+        self.free = i;
+        self.len -= 1;
+        self.now = time;
         Some(Event { time, seq, action })
-    }
-}
-
-/// Per-shard calendar queues behind one global sequence counter: the
-/// event-queue half of the quantum-synchronized (WWT) engine.
-///
-/// Every event is routed to the shard that owns its target processor
-/// (engine-global events go to shard 0). [`ShardedQueue::pop`] merges the
-/// shard heads by `(time, seq)`, so the pop order is byte-identical to a
-/// single global queue **for any shard count** — sharding the schedule
-/// can never change a simulation result. A shard's queue is independently
-/// advanceable up to the quantum boundary, which is what lets worker
-/// threads own shards in the parallel engine (`crate::parallel`).
-pub struct ShardedQueue {
-    shards: Vec<CalendarQueue>,
-    next_seq: u64,
-    /// Host-metrics flag, cached at construction (`SimConfig::trace`
-    /// discipline: one predictable branch per push/pop, no atomic load).
-    obs: bool,
-}
-
-impl fmt::Debug for ShardedQueue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedQueue")
-            .field("shards", &self.shards.len())
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl ShardedQueue {
-    /// Creates a queue over `nshards` shards (at least one).
-    pub fn new(nshards: usize) -> Self {
-        ShardedQueue {
-            shards: (0..nshards.max(1)).map(|_| CalendarQueue::new()).collect(),
-            next_seq: 0,
-            obs: wwt_obs::enabled(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `action` at `time` on `shard` (clamped to the shard
-    /// count), assigning the next global sequence number.
-    pub fn push_to(&mut self, shard: usize, time: Cycles, action: Action) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let shard = shard.min(self.shards.len() - 1);
-        self.shards[shard].push(time, seq, action);
-        if self.obs {
-            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPushed, shard, 1);
-            wwt_obs::shard_max(
-                wwt_obs::ShardGauge::SimQueueDepthHwm,
-                shard,
-                self.shards[shard].len() as u64,
-            );
-        }
-    }
-
-    /// Schedules an engine-global `action` (no processor affinity) on
-    /// shard 0.
-    pub fn push(&mut self, time: Cycles, action: Action) {
-        self.push_to(0, time, action);
-    }
-
-    /// Removes and returns the globally earliest event: the deterministic
-    /// `(time, seq)` merge across shard heads.
-    pub fn pop(&mut self) -> Option<Event> {
-        if self.shards.len() == 1 {
-            let e = self.shards[0].pop();
-            if self.obs && e.is_some() {
-                wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPopped, 0, 1);
-            }
-            return e;
-        }
-        let mut best: Option<(Cycles, u64, usize)> = None;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if let Some((t, s)) = shard.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, i));
-                }
-            }
-        }
-        let (_, _, i) = best?;
-        if self.obs {
-            wwt_obs::shard_count(wwt_obs::ShardCtr::SimEventsPopped, i, 1);
-        }
-        self.shards[i].pop()
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -541,69 +437,110 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Drives a reference [`EventQueue`] and a [`ShardedQueue`] through
-    /// the same randomized push/pop schedule and asserts identical pop
-    /// order. `proc_of` tags each event with a fake processor id so the
-    /// sharded queue exercises its routing.
-    fn lockstep(nshards: usize, pushes: &[(Cycles, usize)]) {
-        let nprocs = 8;
+    /// The coarse wheel's reach: events this far ahead of the current
+    /// window's start go to the far heap.
+    const HORIZON: u64 = (SLOTS * SLOTS) as u64;
+
+    fn resume_index(e: &Event) -> usize {
+        match e.action {
+            Action::Resume(p) => p.index(),
+            Action::Call(_) => unreachable!("the tests schedule only resumes"),
+        }
+    }
+
+    /// The delay for one generated push, by `kind`: the cases the two
+    /// levels and the far heap must agree on with the reference heap.
+    fn delay(kind: u64, r: u64, now: Cycles, earlier: &[Cycles]) -> Cycles {
+        match kind {
+            // Same-cycle cascades.
+            0 => 0,
+            // Network-latency hops.
+            1 => 100,
+            // Window edges and their multiples: m * 4096 + {-1, 0, +1}.
+            2 => (1 + (r / 3) % 8) * SLOTS as u64 - 1 + r % 3,
+            // The horizon edge, and jumps beyond it.
+            3 => HORIZON - 1 + r % 3,
+            4 => HORIZON + r % (4 * HORIZON),
+            // EM3D-MP's bulk sends: up to a million cycles ahead.
+            5 => 8_192 + r % 1_000_000,
+            // An earlier push's exact time: equal-time events reaching
+            // one slot from different levels (a far-heap migrant and the
+            // later pushes that must pop after it).
+            6 if !earlier.is_empty() => {
+                let recent = earlier.len().min(32);
+                earlier[earlier.len() - 1 - r as usize % recent].saturating_sub(now)
+            }
+            _ => r % 300,
+        }
+    }
+
+    /// Drives the reference [`EventQueue`] and a [`CalendarQueue`]
+    /// through the same schedule: each op pushes one event at `now +
+    /// delay(kind, r)` and then pops `pops` events. Asserts identical pop
+    /// order and payloads, and that the slab never outgrows the peak
+    /// number of pending events.
+    fn lockstep(ops: &[(u64, u64, usize)]) {
         let mut reference = EventQueue::new();
-        let mut sharded = ShardedQueue::new(nshards);
-        let mut i = 0;
+        let mut cal = CalendarQueue::new();
         let mut now = 0;
-        // Interleave: two pushes, one pop, like a running simulation.
-        loop {
-            for _ in 0..2 {
-                if let Some(&(dt, p)) = pushes.get(i) {
-                    let t = now + dt;
-                    reference.push(t, Action::Resume(ProcId::new(p)));
-                    let shard = p * nshards / nprocs;
-                    sharded.push_to(shard, t, Action::Resume(ProcId::new(p)));
-                    i += 1;
-                }
+        let mut peak = 0;
+        let mut earlier = Vec::new();
+        for (seq, &(kind, r, pops)) in (0u64..).zip(ops) {
+            let t = now + delay(kind % 8, r, now, &earlier);
+            let p = ProcId::new(seq as usize % 1024);
+            reference.push(t, Action::Resume(p));
+            cal.push(t, seq, Action::Resume(p));
+            earlier.push(t);
+            peak = peak.max(cal.len());
+            for _ in 0..pops {
+                now = pop_both(&mut reference, &mut cal).unwrap_or(now);
             }
-            match (reference.pop(), sharded.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.time, a.seq), (b.time, b.seq), "pop order diverged");
-                    now = a.time;
-                }
-                (a, b) => panic!(
-                    "queues disagree on emptiness: reference={:?} sharded={:?}",
-                    a.map(|e| e.time),
-                    b.map(|e| e.time)
-                ),
+            assert_eq!(reference.len(), cal.len());
+        }
+        while pop_both(&mut reference, &mut cal).is_some() {}
+        assert!(cal.is_empty());
+        assert_eq!(cal.nodes.len(), peak, "the slab outgrew the peak");
+    }
+
+    /// Pops both queues, asserts they agree, and returns the event time.
+    fn pop_both(reference: &mut EventQueue, cal: &mut CalendarQueue) -> Option<Cycles> {
+        match (reference.pop(), cal.pop()) {
+            (None, None) => None,
+            (Some(a), Some(b)) => {
+                assert_eq!((a.time, a.seq), (b.time, b.seq), "pop order diverged");
+                assert_eq!(resume_index(&a), resume_index(&b));
+                Some(a.time)
             }
-            assert_eq!(reference.len(), sharded.len());
+            (a, b) => panic!(
+                "queues disagree on emptiness: reference={:?} calendar={:?}",
+                a.map(|e| e.time),
+                b.map(|e| e.time)
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random schedules over every delay class, with pop counts that
+        /// let the queue drain (sparse re-anchoring on the far heap) or
+        /// pile up (long coarse buckets).
+        #[test]
+        fn calendar_matches_heap_order(
+            ops in proptest::collection::vec((0u64..8, 0u64..u32::MAX as u64, 0usize..3), 1..1500),
+        ) {
+            lockstep(&ops);
         }
     }
 
     #[test]
-    fn sharded_queue_matches_heap_order_for_any_shard_count() {
-        // Deterministic pseudo-random schedule, including same-cycle
-        // collisions (dt 0) and far-future overflow events (dt > RING).
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let pushes: Vec<(Cycles, usize)> = (0..500)
-            .map(|_| {
-                let r = step();
-                let dt = match r % 10 {
-                    0 => 0,
-                    1..=6 => r % 300,
-                    7 | 8 => r % 4000,
-                    _ => 4096 + r % 20_000,
-                };
-                (dt, (step() % 8) as usize)
-            })
+    fn calendar_matches_heap_order_on_window_edges() {
+        // Every window-edge delay, from the cursor at every phase of the
+        // first window.
+        let ops: Vec<(u64, u64, usize)> = (0..4_096 * 3)
+            .map(|i| (if i % 7 == 0 { 0 } else { 2 }, i, (i % 5 == 0) as usize))
             .collect();
-        for nshards in [1, 2, 3, 4, 8] {
-            lockstep(nshards, &pushes);
-        }
+        lockstep(&ops);
     }
 
     #[test]
@@ -625,34 +562,64 @@ mod tests {
     }
 
     #[test]
-    fn calendar_jumps_sparse_gaps_through_overflow() {
+    fn calendar_jumps_sparse_gaps_through_the_far_heap() {
         let mut q = CalendarQueue::new();
         q.push(7, 0, Action::Resume(ProcId::new(0)));
         q.push(1_000_000_000, 1, Action::Resume(ProcId::new(1)));
+        q.push(1_000_000_000 + HORIZON, 2, Action::Resume(ProcId::new(2)));
         assert_eq!(q.pop().unwrap().time, 7);
-        assert_eq!(q.peek_key(), Some((1_000_000_000, 1)));
+        assert_eq!(q.far.len(), 2);
         assert_eq!(q.pop().unwrap().time, 1_000_000_000);
+        assert_eq!(q.window, 1_000_000_000 >> SHIFT);
+        assert_eq!(q.pop().unwrap().time, 1_000_000_000 + HORIZON);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn overflow_migration_preserves_seq_order_at_equal_times() {
+    fn far_migrants_pop_before_later_pushes_to_their_cycle() {
         let mut q = CalendarQueue::new();
-        // seq 0 parks in the overflow (8000 is beyond the ring horizon
-        // from cursor 0); seqs 1 and 2 land in the ring.
-        q.push(8_000, 0, Action::Resume(ProcId::new(0)));
+        // seq 0 waits on the far heap (beyond the horizon from window
+        // 0); seqs 1 and 2 go to the fine slots and the coarse wheel.
+        let t = HORIZON + 5;
+        q.push(t, 0, Action::Resume(ProcId::new(0)));
         q.push(10, 1, Action::Resume(ProcId::new(1)));
-        q.push(4_000, 2, Action::Resume(ProcId::new(2)));
+        q.push(SLOTS as u64, 2, Action::Resume(ProcId::new(2)));
         assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.pop().unwrap().seq, 2); // cursor now 4000
-                                             // 8000 is now ring-reachable but seq 0 is still parked (pushes
-                                             // never migrate). Append a later seq to the same future cycle,
-                                             // then let the next pop migrate: the parked event must splice in
-                                             // *before* the resident one.
-        q.push(8_000, 3, Action::Resume(ProcId::new(3)));
+        // Popping seq 2 steps to window 1, whose horizon just reaches
+        // `t`'s window: seq 0 migrates into the wheel's last bucket.
+        assert_eq!(q.pop().unwrap().seq, 2);
+        assert!(q.far.is_empty());
+        // A later push to the same cycle must still pop after it.
+        q.push(t, 3, Action::Resume(ProcId::new(3)));
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
-        assert_eq!((a.time, a.seq), (8_000, 0));
-        assert_eq!((b.time, b.seq), (8_000, 3));
+        assert_eq!((a.time, a.seq), (t, 0));
+        assert_eq!((b.time, b.seq), (t, 3));
+    }
+
+    #[test]
+    fn freed_slab_entries_are_reused() {
+        let mut q = CalendarQueue::new();
+        let mut seq = 0;
+        for round in 0..10u64 {
+            // Fine, coarse and far events, all popped before the next
+            // round: the slab stays at one round's worth.
+            for k in 0..64u64 {
+                let t = q.now + [k, 5_000 * k, 2 * HORIZON + k][(k % 3) as usize];
+                q.push(t, seq, Action::Resume(ProcId::new(k as usize)));
+                seq += 1;
+            }
+            while q.pop().is_some() {}
+            assert_eq!(q.nodes.len(), 64, "round {round}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes the last popped event")]
+    fn pushing_behind_the_last_pop_is_rejected() {
+        let mut q = CalendarQueue::new();
+        q.push(50, 0, Action::Resume(ProcId::new(0)));
+        q.pop();
+        q.push(49, 1, Action::Resume(ProcId::new(0)));
     }
 }

@@ -19,9 +19,8 @@
 //!
 //! The cooperative engine is single-threaded and fully deterministic: the
 //! same program and seed produce bit-identical cycle counts and event
-//! traces, for any [`SimConfig::sim_threads`] shard count. The [`parallel`]
-//! module carries the same quantum-synchronized discipline onto real worker
-//! threads for `Send` actor workloads.
+//! traces. The [`parallel`] module carries the same quantum-synchronized
+//! discipline onto real worker threads for `Send` actor workloads.
 //!
 //! # Example
 //!

@@ -10,10 +10,9 @@
 //! (`Rc`-shared machine models, `RefCell` state), so they cannot migrate
 //! onto worker threads. This module is the thread-parallel half of the
 //! discipline for workloads that *are* `Send`: actors exchanging typed
-//! messages. The two halves share the event-queue contract — per-shard
-//! queues whose merge order is intrinsic, not an artifact of scheduling —
-//! and the cooperative engine's [`ShardedQueue`](crate::event::ShardedQueue)
-//! is the same shard layout driven from one thread.
+//! messages. No machine model runs on it: every simulation runs on the
+//! cooperative engine's single calendar queue, and cores are used
+//! across experiments instead (`make_tables --jobs`).
 //!
 //! # Why determinism holds
 //!

@@ -7,8 +7,7 @@ use std::rc::Rc;
 
 use wwt_mem::{AccessKind, Cache, GAddr, LineState, NodeMem, Segment, Tlb};
 use wwt_sim::{
-    CellPool, Counter, Cpu, Cycles, Engine, FastMap, FastSet, HwBarrier, Kind, ProcId, Sim,
-    WaitCell,
+    CellPool, Counter, Cpu, Cycles, Engine, FastMap, FastSet, HwBarrier, Kind, Sim, WaitCell,
 };
 
 use crate::config::{AllocPolicy, ProtocolMode, SmConfig};
@@ -621,13 +620,9 @@ impl SmMachine {
                 let arrive = cpu.clock() + cfg.latency(me, block.node());
                 let this = Rc::clone(self);
                 self.sim()
-                    .call_at_for(
-                        ProcId::new(block.node()),
-                        arrive.max(self.sim().now()),
-                        move || {
-                            this.dir_service_prefetch(me, block, cell);
-                        },
-                    )
+                    .call_at(arrive.max(self.sim().now()), move || {
+                        this.dir_service_prefetch(me, block, cell);
+                    })
                     .expect("arrival is clamped to the present");
                 issued += 1;
             }
@@ -678,7 +673,7 @@ impl SmMachine {
                 let arrive = cpu.clock() + cfg.latency(me, q);
                 let this = Rc::clone(self);
                 self.sim()
-                    .call_at_for(ProcId::new(q), arrive.max(self.sim().now()), move || {
+                    .call_at(arrive.max(self.sim().now()), move || {
                         this.install_copy(q, block);
                     })
                     .expect("arrival is clamped to the present");

@@ -60,7 +60,12 @@ impl Sharers {
 
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..128).filter(move |&p| self.contains(p))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let p = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (p < 128).then_some(p)
+        })
     }
 }
 
@@ -161,7 +166,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         let cell2 = cell.clone();
         self.sim()
-            .call_at_for(ProcId::new(h), arrive.max(self.sim().now()), move || {
+            .call_at(arrive.max(self.sim().now()), move || {
                 this.dir_service(ProcId::new(p), block, write, cell2)
             })
             .expect("arrival is clamped to the present");
@@ -313,7 +318,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         let sim = Rc::clone(self.sim());
         self.sim()
-            .call_at_for(ProcId::new(p), resp.max(self.sim().now()), move || {
+            .call_at(resp.max(self.sim().now()), move || {
                 this.install_prefetched(p, block);
                 let _ = &sim;
             })
@@ -375,7 +380,7 @@ impl SmMachine {
         let arrive = cpu.clock() + cfg.latency(p, h);
         let this = Rc::clone(self);
         self.sim()
-            .call_at_for(ProcId::new(h), arrive.max(self.sim().now()), move || {
+            .call_at(arrive.max(self.sim().now()), move || {
                 let st = this.dir_state(h, victim);
                 let new = match st {
                     DirState::Exclusive(o) if o == p => DirState::Uncached,
@@ -413,6 +418,19 @@ mod tests {
         assert_eq!(s.count(), 2);
         s.remove(5); // idempotent
         assert_eq!(s.count(), 2);
+    }
+
+    #[test]
+    fn sharers_iterate_set_bits_in_ascending_order() {
+        let mut bits = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834u128;
+        for _ in 0..64 {
+            let s = Sharers(bits);
+            let probed: Vec<usize> = (0..128).filter(|&p| s.contains(p)).collect();
+            assert_eq!(s.iter().collect::<Vec<_>>(), probed);
+            bits = bits.rotate_left(7) ^ (bits >> 3);
+        }
+        assert_eq!(Sharers::empty().iter().next(), None);
+        assert_eq!(Sharers(u128::MAX).iter().count(), 128);
     }
 
     #[test]

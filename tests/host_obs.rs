@@ -1,6 +1,6 @@
 //! Host-side self-observability (`wwt_obs`): enabling the metrics
-//! registry never perturbs the *simulated* output — at any scheduler
-//! shard count, clean or faulted — and the flight-recorder section
+//! registry never perturbs the *simulated* output — clean or faulted —
+//! and the flight-recorder section
 //! attached to stalled-run diagnostics keeps its pinned format.
 
 use std::rc::Rc;
@@ -26,9 +26,8 @@ const SUBSET: [Experiment; 4] = [
     Experiment::Em3dSm,
 ];
 
-fn report(sim_threads: usize, faults: Option<FaultConfig>) -> String {
+fn report(faults: Option<FaultConfig>) -> String {
     let cfg = RunnerConfig {
-        sim_threads,
         faults,
         ..RunnerConfig::new(Scale::Test)
     };
@@ -36,48 +35,46 @@ fn report(sim_threads: usize, faults: Option<FaultConfig>) -> String {
 }
 
 /// The acceptance gate: simulated stdout is byte-identical with and
-/// without `--obs` at sim_threads 1/2/4, clean and faulted. Host metrics
-/// observe wall time only; nothing in the simulation reads them back.
+/// without `--obs`, clean and faulted. Host metrics observe wall time
+/// only; nothing in the simulation reads them back.
 #[test]
 fn host_metrics_never_change_simulated_output() {
     let _g = lock();
     let chaos = || FaultConfig::parse("seed=7,drop=0.01,jitter=200").expect("valid fault spec");
-    for st in [1usize, 2, 4] {
-        for faulted in [false, true] {
-            let plan = || faulted.then(chaos);
-            obs::disable();
-            let base = report(st, plan());
-            obs::enable();
-            obs::reset();
-            let observed = report(st, plan());
-            obs::disable();
-            assert_eq!(
-                base, observed,
-                "--obs changed simulated output (sim_threads={st}, faulted={faulted})"
-            );
-        }
+    for faulted in [false, true] {
+        let plan = || faulted.then(chaos);
+        obs::disable();
+        let base = report(plan());
+        obs::enable();
+        obs::reset();
+        let observed = report(plan());
+        obs::disable();
+        assert_eq!(
+            base, observed,
+            "--obs changed simulated output (faulted={faulted})"
+        );
     }
 }
 
 /// While enabled, a run populates the engine instruments the self-profile
-/// table is built from: per-shard event throughput and queue-depth
-/// high-water marks.
+/// table is built from: event throughput and the queue-depth high-water
+/// mark, all recorded on index 0.
 #[test]
 fn enabled_runs_populate_the_engine_instruments() {
     let _g = lock();
     obs::enable();
     obs::reset();
-    let _ = report(2, None);
+    let _ = report(None);
     let snap = obs::snapshot_now();
     obs::disable();
-    let popped: u64 = (0..obs::MAX_SHARDS)
-        .map(|sh| obs::shard_counter(obs::ShardCtr::SimEventsPopped, sh))
-        .sum();
-    let pushed: u64 = (0..obs::MAX_SHARDS)
-        .map(|sh| obs::shard_counter(obs::ShardCtr::SimEventsPushed, sh))
-        .sum();
+    let popped = obs::shard_counter(obs::ShardCtr::SimEventsPopped, 0);
+    let pushed = obs::shard_counter(obs::ShardCtr::SimEventsPushed, 0);
     assert!(popped > 0, "no events counted: {snap:?}");
     assert_eq!(popped, pushed, "every pushed event is eventually popped");
+    assert!(obs::shard_gauge(obs::ShardGauge::SimQueueDepthHwm, 0) > 0);
+    for sh in 1..obs::MAX_SHARDS {
+        assert_eq!(obs::shard_counter(obs::ShardCtr::SimEventsPushed, sh), 0);
+    }
     let table = obs::render_table(&snap);
     assert!(table.contains("engine     events popped"), "{table}");
     assert!(table.contains("depth high-water"), "{table}");
