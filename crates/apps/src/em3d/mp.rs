@@ -9,26 +9,26 @@
 //! All communication is sender-initiated, in bulk, and handshake-free —
 //! the three properties the paper credits for EM3D-MP's 2x win.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wwt_mp::{ChannelId, MpConfig, MpMachine, SendChannel};
 use wwt_sim::{Engine, ProcId, SimError};
 
 use crate::common::{AppRun, PhaseRecorder};
-use crate::em3d::{gen_graph, reference, validate_values, Em3dGraph, Em3dParams, Side};
+use crate::em3d::{gen_graph, reference, validate_values, EdgeIndex, Em3dGraph, Em3dParams, Side};
 
-/// Where an in-edge's source value lives.
-#[derive(Copy, Clone, Debug)]
-enum SrcRef {
-    /// A node on this processor (index within the source side's array).
-    Local(usize),
-    /// A ghost slot fed by processor `src`.
-    Ghost { src: usize, slot: usize },
+/// One resolved in-edge: its weight and where its source value lives.
+/// If `src` is the sink's own processor, `idx` indexes the source side's
+/// value array; otherwise it is a slot of the ghost array fed by `src`.
+#[derive(Copy, Clone, Debug, Default)]
+struct InEdge {
+    w: f64,
+    src: u32,
+    idx: u32,
 }
 
 /// Per-processor communication plan derived from the shared graph.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ProcPlan {
     /// E-side values to send, per destination: my E node indices.
     send_e: Vec<Vec<usize>>,
@@ -37,52 +37,54 @@ struct ProcPlan {
     /// Edge-info records to transmit during initialization, per
     /// destination: (sink idx, sink side, weight).
     send_info: Vec<Vec<(u32, Side, f64)>>,
-    /// Resolved in-edges of my E nodes: (weight, where the H source is).
-    in_e: Vec<Vec<(f64, SrcRef)>>,
-    /// Resolved in-edges of my H nodes.
-    in_h: Vec<Vec<(f64, SrcRef)>>,
+    /// Resolved in-edges of my E nodes (H sources), node-major in the
+    /// order of the index's `e` runs for this processor.
+    in_e: Vec<InEdge>,
+    /// Resolved in-edges of my H nodes, node-major like `in_e`.
+    in_h: Vec<InEdge>,
 }
 
-fn build_plans(p: &Em3dParams, g: &Em3dGraph) -> Vec<ProcPlan> {
+fn build_plans(p: &Em3dParams, g: &Em3dGraph, index: &EdgeIndex) -> Vec<ProcPlan> {
     let mut plans: Vec<ProcPlan> = (0..p.procs)
-        .map(|_| ProcPlan {
+        .map(|q| ProcPlan {
             send_e: vec![Vec::new(); p.procs],
             send_h: vec![Vec::new(); p.procs],
             send_info: vec![Vec::new(); p.procs],
-            in_e: vec![Vec::new(); p.e_per_proc],
-            in_h: vec![Vec::new(); p.h_per_proc],
+            in_e: vec![InEdge::default(); index.e.proc_ids(q).len()],
+            in_h: vec![InEdge::default(); index.h.proc_ids(q).len()],
         })
         .collect();
-    // Ghost slots are assigned in global edge order, which is also the
-    // order senders gather values in, so slot k of the ghost array always
-    // receives the k-th value of the bulk message.
-    let mut slots: HashMap<(usize, usize, Side), usize> = HashMap::new();
-    for (edge, &w) in g.edges.iter().zip(&g.weights) {
-        let sink_side = edge.from_side.other();
-        let src_ref = if edge.src_proc == edge.dst_proc {
-            SrcRef::Local(edge.src_idx)
+    for (id, edge) in g.edges.iter().enumerate() {
+        let src = g.source(id);
+        let sink_side = src.side.other();
+        let dst = edge.dst_proc as usize;
+        let idx = if src.proc == dst {
+            src.idx
         } else {
-            let ctr = slots
-                .entry((edge.src_proc, edge.dst_proc, edge.from_side))
-                .or_insert(0);
-            let slot = *ctr;
-            *ctr += 1;
-            let sender = &mut plans[edge.src_proc];
-            match edge.from_side {
-                Side::E => sender.send_e[edge.dst_proc].push(edge.src_idx),
-                Side::H => sender.send_h[edge.dst_proc].push(edge.src_idx),
-            }
-            sender.send_info[edge.dst_proc].push((edge.dst_idx as u32, sink_side, w));
-            SrcRef::Ghost {
-                src: edge.src_proc,
-                slot,
-            }
+            let sender = &mut plans[src.proc];
+            let list = match src.side {
+                Side::E => &mut sender.send_e[dst],
+                Side::H => &mut sender.send_h[dst],
+            };
+            // Ghost slots are assigned in global edge order, which is
+            // also the order senders gather values in, so slot k of the
+            // ghost array always receives the k-th value of the bulk
+            // message.
+            let slot = list.len();
+            list.push(src.idx);
+            sender.send_info[dst].push((edge.dst_idx, sink_side, edge.weight));
+            slot
         };
-        let sink = &mut plans[edge.dst_proc];
-        match sink_side {
-            Side::E => sink.in_e[edge.dst_idx].push((w, src_ref)),
-            Side::H => sink.in_h[edge.dst_idx].push((w, src_ref)),
-        }
+        let sink = &mut plans[dst];
+        let ins = match sink_side {
+            Side::E => &mut sink.in_e,
+            Side::H => &mut sink.in_h,
+        };
+        ins[index.slot(id, sink_side, dst)] = InEdge {
+            w: edge.weight,
+            src: src.proc as u32,
+            idx: idx as u32,
+        };
     }
     plans
 }
@@ -104,7 +106,10 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     let m = MpMachine::new(&engine, mcfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let g = Rc::new(gen_graph(p));
-    let plans = Rc::new(build_plans(p, &g));
+    // Built once and shared by the plans, every processor task and the
+    // reference.
+    let index = Rc::new(EdgeIndex::new(&g));
+    let plans = Rc::new(build_plans(p, &g, &index));
     // Each task records where its value arrays actually start (allocation
     // is 32-byte aligned, so offsets are not simply array-size multiples).
     let val_offs: Rc<std::cell::RefCell<Vec<(u64, u64)>>> =
@@ -116,6 +121,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
         let rec = Rc::clone(&rec);
         let g = Rc::clone(&g);
         let plans = Rc::clone(&plans);
+        let index = Rc::clone(&index);
         let val_offs = Rc::clone(&val_offs);
         let p = p.clone();
         engine.spawn(proc, async move {
@@ -140,8 +146,8 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                 }
             }
             // In-edge stream arrays (weights + pointers, 16 bytes/edge).
-            let in_e_deg: usize = plan.in_e.iter().map(Vec::len).sum();
-            let in_h_deg: usize = plan.in_h.iter().map(Vec::len).sum();
+            let in_e_deg = plan.in_e.len();
+            let in_h_deg = plan.in_h.len();
             let in_e_stream = m.alloc(proc, (in_e_deg as u64 * 16).max(16), 32);
             let in_h_stream = m.alloc(proc, (in_h_deg as u64 * 16).max(16), 32);
             // Send gather buffers.
@@ -297,6 +303,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     &m,
                     &cpu,
                     &p,
+                    index.e.proc_starts(me),
                     &plan.in_e,
                     e_vals,
                     h_vals,
@@ -320,6 +327,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
                     &m,
                     &cpu,
                     &p,
+                    index.h.proc_starts(me),
                     &plan.in_h,
                     h_vals,
                     e_vals,
@@ -362,7 +370,7 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
         got_e.push(e);
         got_h.push(h);
     }
-    let refv = reference(p, &g);
+    let refv = reference(p, &g, &index);
     let validation = validate_values(&refv, &got_e, &got_h);
     Ok(AppRun {
         report,
@@ -373,7 +381,8 @@ pub fn try_run(p: &Em3dParams, mcfg: MpConfig) -> Result<AppRun, SimError> {
     })
 }
 
-/// One half-step over `sinks` (in-edge lists of the side being updated):
+/// One half-step over the side being updated, whose sinks' in-edges are
+/// `ins`, node-major, with node runs at `starts` (minus `starts[0]`):
 /// streams the in-edge arrays, reads each source value (local array or
 /// ghost slot), and writes the updated sink values.
 #[allow(clippy::too_many_arguments)]
@@ -381,28 +390,33 @@ async fn half_step(
     m: &Rc<MpMachine>,
     cpu: &wwt_sim::Cpu,
     p: &Em3dParams,
-    sinks: &[Vec<(f64, SrcRef)>],
+    starts: &[u32],
+    ins: &[InEdge],
     sink_vals: u64,
     src_vals: u64,
     ghosts: &[u64],
     stream: u64,
 ) {
     let proc = cpu.id();
+    let me = proc.index() as u32;
     let mut edge_cursor = 0u64;
-    for (i, ins) in sinks.iter().enumerate() {
-        let deg = ins.len() as u64;
+    for (i, run) in starts.windows(2).enumerate() {
+        let edges = &ins[(run[0] - starts[0]) as usize..(run[1] - starts[0]) as usize];
+        let deg = edges.len() as u64;
         if deg > 0 {
             m.touch_read(cpu, stream + edge_cursor * 16, deg * 16);
             edge_cursor += deg;
         }
         let mut acc = 0.0;
-        for &(w, src) in ins {
-            let addr = match src {
-                SrcRef::Local(si) => src_vals + (si * 8) as u64,
-                SrcRef::Ghost { src, slot } => ghosts[src] + (slot * 8) as u64,
+        for e in edges {
+            let base = if e.src == me {
+                src_vals
+            } else {
+                ghosts[e.src as usize]
             };
+            let addr = base + e.idx as u64 * 8;
             m.touch_read(cpu, addr, 8);
-            acc += w * m.peek_f64(proc, addr);
+            acc += e.w * m.peek_f64(proc, addr);
         }
         let sink = sink_vals + (i * 8) as u64;
         let old = m.peek_f64(proc, sink);

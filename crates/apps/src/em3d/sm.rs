@@ -20,80 +20,40 @@ use wwt_sm::{McsLock, SmConfig, SmMachine};
 
 use crate::common::{AppRun, PhaseRecorder};
 use crate::em3d::{
-    build_in_edges, gen_graph, reference, validate_values, Em3dGraph, Em3dHint, Em3dParams, Side,
+    gen_graph, reference, validate_values, EdgeIndex, Em3dGraph, Em3dHint, Em3dParams, Side,
 };
 
 /// Number of locks per destination processor protecting its in-edge
 /// structures (hashed by sink node index).
 const LOCKS_PER_PROC: usize = 16;
 
-/// One remote or local in-edge record to install during initialization.
-#[derive(Copy, Clone, Debug)]
-struct FillRecord {
+/// One of a processor's out-edges as its initialization installs it at
+/// the sink, decoded on the fly from the graph and the index.
+struct OutEdge {
     dst_proc: usize,
+    /// Sink side (the other side from the source).
     side: Side,
-    /// Flat slot in the destination's (node-major) in-edge arrays.
-    slot: usize,
-    /// Sink node index (for lock hashing).
+    /// Sink node index.
     dst_idx: usize,
+    /// Flat slot in the sink processor's node-major in-edge arrays.
+    slot: usize,
     weight: f64,
-    src_proc: usize,
     src_idx: usize,
 }
 
-struct Layout {
-    /// Per (proc, side): flat in-edge count.
-    in_e_deg: Vec<usize>,
-    in_h_deg: Vec<usize>,
-    /// Fill records grouped by the *source* processor (who installs them).
-    fills: Vec<Vec<FillRecord>>,
-}
-
-fn build_layout(p: &Em3dParams, g: &Em3dGraph) -> Layout {
-    let (in_e, in_h) = build_in_edges(p, g);
-    // Node-major slot bases per (proc, side, node).
-    let bases = |ins: &crate::em3d::InEdges| -> Vec<Vec<usize>> {
-        ins.iter()
-            .map(|nodes| {
-                let mut start = 0;
-                nodes
-                    .iter()
-                    .map(|l| {
-                        let s = start;
-                        start += l.len();
-                        s
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let base_e = bases(&in_e);
-    let base_h = bases(&in_h);
-    let mut cursor_e: Vec<Vec<usize>> = base_e.clone();
-    let mut cursor_h: Vec<Vec<usize>> = base_h.clone();
-    let mut fills: Vec<Vec<FillRecord>> = vec![Vec::new(); p.procs];
-    for (edge, &w) in g.edges.iter().zip(&g.weights) {
-        let side = edge.from_side.other();
-        let cursor = match side {
-            Side::E => &mut cursor_e,
-            Side::H => &mut cursor_h,
-        };
-        let slot = cursor[edge.dst_proc][edge.dst_idx];
-        cursor[edge.dst_proc][edge.dst_idx] += 1;
-        fills[edge.src_proc].push(FillRecord {
-            dst_proc: edge.dst_proc,
-            side,
-            slot,
-            dst_idx: edge.dst_idx,
-            weight: w,
-            src_proc: edge.src_proc,
-            src_idx: edge.src_idx,
-        });
-    }
-    Layout {
-        in_e_deg: in_e.iter().map(|n| n.iter().map(Vec::len).sum()).collect(),
-        in_h_deg: in_h.iter().map(|n| n.iter().map(Vec::len).sum()).collect(),
-        fills,
+/// Decodes edge `id`.
+fn out_edge(g: &Em3dGraph, index: &EdgeIndex, id: usize) -> OutEdge {
+    let edge = g.edges[id];
+    let src = g.source(id);
+    let side = src.side.other();
+    let dst_proc = edge.dst_proc as usize;
+    OutEdge {
+        dst_proc,
+        side,
+        dst_idx: edge.dst_idx as usize,
+        slot: index.slot(id, side, dst_proc),
+        weight: edge.weight,
+        src_idx: src.idx,
     }
 }
 
@@ -128,10 +88,9 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
     let m = SmMachine::new(&engine, scfg);
     let rec = PhaseRecorder::new(Rc::clone(engine.sim()));
     let g = Rc::new(gen_graph(p));
-    let layout = Rc::new(build_layout(p, &g));
-    // Built once and shared: every processor task reads only its own row,
-    // and rebuilding the full lists per task is quadratic in machine size.
-    let ins = Rc::new(build_in_edges(p, &g));
+    // Built once and shared by every processor task and the reference.
+    let index = Rc::new(EdgeIndex::new(&g));
+    let in_deg = |side: Side, q: usize| index.sinks(side).proc_ids(q).len();
 
     // Allocate every processor's arrays up front (allocation-policy aware:
     // `gmalloc(q, ..)` homes on q only under the Local policy).
@@ -141,10 +100,10 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 e_vals: m.gmalloc(q, (p.e_per_proc * 8) as u64, 32),
                 h_vals: m.gmalloc(q, (p.h_per_proc * 8) as u64, 32),
                 counts: m.gmalloc(q, ((p.e_per_proc + p.h_per_proc) * 8) as u64, 32),
-                in_e_w: m.gmalloc(q, (layout.in_e_deg[q] * 8).max(8) as u64, 32),
-                in_e_ptr: m.gmalloc(q, (layout.in_e_deg[q] * 8).max(8) as u64, 32),
-                in_h_w: m.gmalloc(q, (layout.in_h_deg[q] * 8).max(8) as u64, 32),
-                in_h_ptr: m.gmalloc(q, (layout.in_h_deg[q] * 8).max(8) as u64, 32),
+                in_e_w: m.gmalloc(q, (in_deg(Side::E, q) * 8).max(8) as u64, 32),
+                in_e_ptr: m.gmalloc(q, (in_deg(Side::E, q) * 8).max(8) as u64, 32),
+                in_h_w: m.gmalloc(q, (in_deg(Side::H, q) * 8).max(8) as u64, 32),
+                in_h_ptr: m.gmalloc(q, (in_deg(Side::H, q) * 8).max(8) as u64, 32),
                 starts: m.gmalloc(q, ((p.e_per_proc + p.h_per_proc) * 8) as u64, 32),
             })
             .collect(),
@@ -160,8 +119,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         let cpu = engine.cpu(proc);
         let rec = Rc::clone(&rec);
         let g = Rc::clone(&g);
-        let layout = Rc::clone(&layout);
-        let ins = Rc::clone(&ins);
+        let index = Rc::clone(&index);
         let arrays = Rc::clone(&arrays);
         let locks = Rc::clone(&locks);
         let p = p.clone();
@@ -185,7 +143,8 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
             // Pass 1: increment in-degree counts at the sinks (remote
             // writes under locks).
-            for rec_ in &layout.fills[me] {
+            let my_edges = me * g.edges_per_proc()..(me + 1) * g.edges_per_proc();
+            for rec_ in my_edges.clone().map(|id| out_edge(&g, &index, id)) {
                 let d = &arrays[rec_.dst_proc];
                 let side_off = match rec_.side {
                     Side::E => 0,
@@ -217,7 +176,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
             // Pass 2: install (weight, source-pointer) records at the
             // sinks, bumping a cursor under the same locks.
-            for rec_ in &layout.fills[me] {
+            for rec_ in my_edges.map(|id| out_edge(&g, &index, id)) {
                 let d = &arrays[rec_.dst_proc];
                 let (w_arr, ptr_arr) = match rec_.side {
                     Side::E => (d.in_e_w, d.in_e_ptr),
@@ -226,8 +185,8 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                 // The source value this edge reads in the main loop: E
                 // sinks read H sources and vice versa.
                 let src_vals = match rec_.side {
-                    Side::E => arrays[rec_.src_proc].h_vals,
-                    Side::H => arrays[rec_.src_proc].e_vals,
+                    Side::E => a.h_vals,
+                    Side::H => a.e_vals,
                 };
                 let src_addr = src_vals.offset_by((rec_.src_idx * 8) as u64);
                 let w_slot = w_arr.offset_by((rec_.slot * 8) as u64);
@@ -264,37 +223,38 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
             }
 
             // --- main loop --------------------------------------------------
-            let (in_e, in_h) = (&ins.0, &ins.1);
-            let my_in_e: Vec<usize> = in_e[me].iter().map(Vec::len).collect();
-            let my_in_h: Vec<usize> = in_h[me].iter().map(Vec::len).collect();
             // Unique remote source blocks per half (for flush/prefetch
             // hints): H sources feed the E half and vice versa.
-            let remote_blocks = |ins: &Vec<Vec<(usize, usize, f64)>>, side: Side| -> Vec<GAddr> {
-                let mut blocks: Vec<u64> = ins
+            let remote_blocks = |sink_side: Side| -> Vec<GAddr> {
+                let mut blocks: Vec<u64> = index
+                    .sinks(sink_side)
+                    .proc_ids(me)
                     .iter()
-                    .flatten()
-                    .filter(|&&(sp, _, _)| sp != me)
-                    .map(|&(sp, si, _)| {
-                        let vals = match side {
-                            Side::H => arrays[sp].h_vals,
-                            Side::E => arrays[sp].e_vals,
+                    .map(|&id| g.source(id as usize))
+                    .filter(|src| src.proc != me)
+                    .map(|src| {
+                        let vals = match src.side {
+                            Side::H => arrays[src.proc].h_vals,
+                            Side::E => arrays[src.proc].e_vals,
                         };
-                        vals.offset_by((si * 8) as u64).block().raw()
+                        vals.offset_by((src.idx * 8) as u64).block().raw()
                     })
                     .collect();
                 blocks.sort_unstable();
                 blocks.dedup();
                 blocks.into_iter().map(GAddr::from_raw).collect()
             };
-            let remote_h = remote_blocks(&in_e[me], Side::H);
-            let remote_e = remote_blocks(&in_h[me], Side::E);
+            let remote_h = remote_blocks(Side::E);
+            let remote_e = remote_blocks(Side::H);
+            let starts_e = index.e.proc_starts(me);
+            let starts_h = index.h.proc_starts(me);
             for _ in 0..p.iters {
                 if p.hint == Em3dHint::Prefetch {
                     for b in &remote_h {
                         m.prefetch(&cpu, *b, 32).await;
                     }
                 }
-                half_step(&m, &cpu, &p, a.e_vals, a.in_e_w, a.in_e_ptr, &my_in_e).await;
+                half_step(&m, &cpu, &p, a.e_vals, a.in_e_w, a.in_e_ptr, starts_e).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_h {
                         m.flush(&cpu, *b, 32).await;
@@ -308,7 +268,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
                         m.prefetch(&cpu, *b, 32).await;
                     }
                 }
-                half_step(&m, &cpu, &p, a.h_vals, a.in_h_w, a.in_h_ptr, &my_in_h).await;
+                half_step(&m, &cpu, &p, a.h_vals, a.in_h_w, a.in_h_ptr, starts_h).await;
                 if p.hint == Em3dHint::Flush {
                     for b in &remote_e {
                         m.flush(&cpu, *b, 32).await;
@@ -335,7 +295,7 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
         got_e.push(e);
         got_h.push(h);
     }
-    let refv = reference(p, &g);
+    let refv = reference(p, &g, &index);
     let validation = validate_values(&refv, &got_e, &got_h);
     Ok(AppRun {
         report,
@@ -348,6 +308,8 @@ pub fn try_run(p: &Em3dParams, scfg: SmConfig) -> Result<AppRun, SimError> {
 
 /// One half-step: stream the in-edge arrays, read each source value in
 /// place (local or remote shared memory), and write the updated sinks.
+/// `starts` are the index's run starts of this processor's sinks; their
+/// differences are the in-degrees.
 async fn half_step(
     m: &Rc<SmMachine>,
     cpu: &wwt_sim::Cpu,
@@ -355,10 +317,11 @@ async fn half_step(
     sink_vals: GAddr,
     w_arr: GAddr,
     ptr_arr: GAddr,
-    degrees: &[usize],
+    starts: &[u32],
 ) {
     let mut cursor = 0usize;
-    for (i, &deg) in degrees.iter().enumerate() {
+    for (i, run) in starts.windows(2).enumerate() {
+        let deg = (run[1] - run[0]) as usize;
         if deg > 0 {
             // Stream the weight and pointer arrays for this node.
             m.touch_read(cpu, w_arr.offset_by((cursor * 8) as u64), (deg * 8) as u64)

@@ -49,34 +49,30 @@ impl TreeShape {
 
     /// Children of virtual rank `v`, in send order (largest subtree first
     /// for the lop-sided shape, which is what makes it LogP-optimal).
-    pub fn children(self, v: usize, n: usize) -> Vec<usize> {
+    /// Allocation-free: every received bulk-broadcast packet asks.
+    pub fn children(self, v: usize, n: usize) -> Children {
         assert!(v < n, "rank out of range");
         match self {
-            TreeShape::Flat => {
-                if v == 0 {
-                    (1..n).collect()
-                } else {
-                    Vec::new()
-                }
+            TreeShape::Flat => Children(ChildRanks::Range(if v == 0 { 1..n } else { 0..0 })),
+            TreeShape::Binary => {
+                let end = (2 * v + 3).min(n);
+                Children(ChildRanks::Range((2 * v + 1).min(end)..end))
             }
-            TreeShape::Binary => [2 * v + 1, 2 * v + 2]
-                .into_iter()
-                .filter(|&c| c < n)
-                .collect(),
             TreeShape::Lopsided => {
+                // Children are v + 2^k for every 2^k below v's lowest set
+                // bit (any, for the root) that stays inside the tree.
                 let lsb = if v == 0 {
                     usize::MAX
                 } else {
                     v & v.wrapping_neg()
                 };
-                let mut kids = Vec::new();
+                let mut top = 0;
                 let mut bit = 1usize;
                 while bit < lsb && v + bit < n {
-                    kids.push(v + bit);
+                    top = bit;
                     bit <<= 1;
                 }
-                kids.reverse(); // largest subtree first
-                kids
+                Children(ChildRanks::Halving { v, bit: top })
             }
         }
     }
@@ -98,6 +94,48 @@ impl TreeShape {
         }
     }
 }
+
+/// The children of one tree node, in send order (see
+/// [`TreeShape::children`]).
+#[derive(Clone, Debug)]
+pub struct Children(ChildRanks);
+
+#[derive(Clone, Debug)]
+enum ChildRanks {
+    /// Consecutive ranks (flat and binary trees).
+    Range(std::ops::Range<usize>),
+    /// `v + bit`, then `v + bit / 2`, ... down to `v + 1` (lop-sided
+    /// tree); `bit == 0` when no children remain.
+    Halving { v: usize, bit: usize },
+}
+
+impl Iterator for Children {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match &mut self.0 {
+            ChildRanks::Range(r) => r.next(),
+            ChildRanks::Halving { v, bit } => {
+                if *bit == 0 {
+                    return None;
+                }
+                let c = *v + *bit;
+                *bit >>= 1;
+                Some(c)
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            ChildRanks::Range(r) => r.len(),
+            ChildRanks::Halving { bit, .. } => (usize::BITS - bit.leading_zeros()) as usize,
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Children {}
 
 /// In-flight state of a bulk broadcast on one node.
 #[derive(Debug, Default)]
@@ -351,11 +389,11 @@ impl MpMachine {
             );
             self.touch_read(cpu, buf_off, bytes as u64);
             cpu.count(Counter::MessagesSent, 1);
-            let children = shape.children(0, n);
+            let nchildren = shape.children(0, n).len() as u64;
             // One logical bulk transfer per child, as the paper's
             // channel-based row broadcast counts them (Table 10).
-            cpu.count(Counter::ChannelWrites, children.len() as u64);
-            cpu.compute(self.config().collective_msg_overhead * children.len() as u64);
+            cpu.count(Counter::ChannelWrites, nchildren);
+            cpu.compute(self.config().collective_msg_overhead * nchildren);
             for idx in 0..npkts {
                 let chunk = (bytes - idx * BULK_DATA_BYTES).min(BULK_DATA_BYTES);
                 let mut words = [0u32; 4];
@@ -369,7 +407,7 @@ impl MpMachine {
                     }
                 }
                 cpu.compute(self.config().chan_packet_overhead);
-                for &c in &children {
+                for c in shape.children(0, n) {
                     self.send_packet(
                         cpu,
                         Packet {
@@ -400,7 +438,8 @@ impl MpMachine {
                 .remove(&seq)
                 .expect("stash must be present");
             let total = st.total.expect("stash complete");
-            // Copy the assembled message into the local buffer.
+            // Copy the assembled message into the local buffer and keep
+            // the emptied buffer for the next broadcast.
             {
                 let mut nodes = self.nodes.borrow_mut();
                 let node = &mut nodes[me];
@@ -411,6 +450,9 @@ impl MpMachine {
                     let word = (word & !(0xffu32 << shift)) | ((b as u32) << shift);
                     node.mem.write_u32(off & !3, word);
                 }
+                let mut data = st.data;
+                data.clear();
+                node.bcb_free.push(data);
             }
             self.touch_write(cpu, buf_off, total as u64);
             cpu.phase_mark();
@@ -425,7 +467,14 @@ impl MpMachine {
         cpu.compute(self.config().chan_recv_packet_overhead);
         {
             let mut nodes = self.nodes.borrow_mut();
-            let st = nodes[me].bcb_stash.entry(pkt.meta).or_default();
+            let node = &mut nodes[me];
+            let st = node
+                .bcb_stash
+                .entry(pkt.meta)
+                .or_insert_with(|| BulkBcastState {
+                    data: node.bcb_free.pop().unwrap_or_default(),
+                    ..BulkBcastState::default()
+                });
             let base = (idx * BULK_DATA_BYTES) as usize;
             if st.data.len() < base + nbytes as usize {
                 st.data.resize(base + nbytes as usize, 0);
@@ -443,8 +492,9 @@ impl MpMachine {
         let v = vrank(me, root, n);
         let children = shape.children(v, n);
         if last {
-            cpu.count(Counter::ChannelWrites, children.len() as u64);
-            cpu.compute(self.config().collective_msg_overhead * (children.len() as u64 + 1));
+            let nchildren = children.len() as u64;
+            cpu.count(Counter::ChannelWrites, nchildren);
+            cpu.compute(self.config().collective_msg_overhead * (nchildren + 1));
         }
         for c in children {
             self.send_packet(
@@ -491,11 +541,53 @@ mod tests {
 
     #[test]
     fn lopsided_root_sends_largest_subtree_first() {
-        let kids = TreeShape::Lopsided.children(0, 32);
+        let kids: Vec<usize> = TreeShape::Lopsided.children(0, 32).collect();
         assert_eq!(kids, vec![16, 8, 4, 2, 1]);
         // Node 8's children in a 32-node tree.
-        assert_eq!(TreeShape::Lopsided.children(8, 32), vec![12, 10, 9]);
+        let kids: Vec<usize> = TreeShape::Lopsided.children(8, 32).collect();
+        assert_eq!(kids, vec![12, 10, 9]);
         assert_eq!(TreeShape::Lopsided.parent(12, 32), Some(8));
+    }
+
+    /// The children as the list-building implementation computed them.
+    fn listed_children(shape: TreeShape, v: usize, n: usize) -> Vec<usize> {
+        match shape {
+            TreeShape::Flat if v == 0 => (1..n).collect(),
+            TreeShape::Flat => Vec::new(),
+            TreeShape::Binary => [2 * v + 1, 2 * v + 2]
+                .into_iter()
+                .filter(|&c| c < n)
+                .collect(),
+            TreeShape::Lopsided => {
+                let lsb = if v == 0 {
+                    usize::MAX
+                } else {
+                    v & v.wrapping_neg()
+                };
+                let mut kids = Vec::new();
+                let mut bit = 1usize;
+                while bit < lsb && v + bit < n {
+                    kids.push(v + bit);
+                    bit <<= 1;
+                }
+                kids.reverse();
+                kids
+            }
+        }
+    }
+
+    #[test]
+    fn children_iterate_in_listed_order_with_exact_length() {
+        for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::Lopsided] {
+            for n in 1..=70usize {
+                for v in 0..n {
+                    let kids = shape.children(v, n);
+                    let want = listed_children(shape, v, n);
+                    assert_eq!(kids.len(), want.len(), "{shape:?} v={v} n={n}");
+                    assert_eq!(kids.collect::<Vec<_>>(), want, "{shape:?} v={v} n={n}");
+                }
+            }
+        }
     }
 
     fn run_collective(n: usize, shape: TreeShape, root: usize) -> (Vec<f64>, wwt_sim::SimReport) {

@@ -61,7 +61,7 @@ pub mod packet;
 pub mod sync_msg;
 
 pub use channel::{ChannelId, SendChannel};
-pub use collectives::TreeShape;
+pub use collectives::{Children, TreeShape};
 pub use config::MpConfig;
 pub use machine::{AmArgs, MpMachine};
 pub use packet::{tag, Packet};

@@ -66,6 +66,9 @@ pub(crate) struct MpNode {
     pub(crate) bc_inbox: FastMap<u32, [u32; 4]>,
     pub(crate) bc_seq: u32,
     pub(crate) bcb_stash: FastMap<u32, BulkBcastState>,
+    /// Emptied buffers of completed bulk broadcasts, reused by the next
+    /// ones so reassembly does not allocate once warm.
+    pub(crate) bcb_free: Vec<Vec<u8>>,
     pub(crate) bcb_seq: u32,
     // Synchronous send/receive rendezvous state.
     pub(crate) sync_reqs: Vec<PendingSend>,
@@ -108,6 +111,7 @@ impl MpNode {
             bc_inbox: FastMap::default(),
             bc_seq: 0,
             bcb_stash: FastMap::default(),
+            bcb_free: Vec::new(),
             bcb_seq: 0,
             sync_reqs: Vec::new(),
             sync_recvs: Vec::new(),
