@@ -215,8 +215,8 @@ impl ArchParams {
         if g.ways == 0 {
             return bad("cache must have at least one way");
         }
-        if g.block_bytes == 0 {
-            return bad("cache block size must be positive");
+        if !g.block_bytes.is_power_of_two() {
+            return bad("cache block size must be a power of two");
         }
         let per_way = g.size_bytes / g.ways as u64;
         if per_way == 0 || !per_way.is_multiple_of(g.block_bytes) {

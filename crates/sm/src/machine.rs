@@ -28,12 +28,12 @@ pub(crate) struct SmNode {
 }
 
 impl SmNode {
-    fn new(config: &SmConfig, seed: u64) -> Self {
+    fn new(config: &SmConfig, nprocs: usize, seed: u64) -> Self {
         SmNode {
             mem: NodeMem::new(),
             cache: Cache::new(config.arch.cache, seed),
             tlb: Tlb::new(config.arch.tlb_entries),
-            dir: Directory::new(config.arch.cache.block_bytes),
+            dir: Directory::new(config.arch.cache.block_bytes, nprocs),
             dir_busy: 0,
             pending_prefetch: FastMap::default(),
             stache: FastSet::default(),
@@ -85,7 +85,7 @@ impl SmMachine {
             sim,
             nodes: RefCell::new(
                 (0..n)
-                    .map(|i| SmNode::new(&config, seed.wrapping_add(0x5a5a + i as u64)))
+                    .map(|i| SmNode::new(&config, n, seed.wrapping_add(0x5a5a + i as u64)))
                     .collect(),
             ),
             barrier: HwBarrier::new(n, config.arch.barrier_latency),
@@ -208,6 +208,17 @@ impl SmMachine {
         self.nodes.borrow_mut()[home].dir.set(block, st);
     }
 
+    /// Whether `block`'s home directory lists `p` (as a sharer or as the
+    /// exclusive owner).
+    pub(crate) fn dir_lists(&self, home: usize, block: GAddr, p: usize) -> bool {
+        self.nodes.borrow()[home].dir.lists(block, p)
+    }
+
+    /// Drops `p`'s copy of `block` from its home directory.
+    pub(crate) fn dir_drop_copy(&self, home: usize, block: GAddr, p: usize) {
+        self.nodes.borrow_mut()[home].dir.drop_copy(block, p);
+    }
+
     /// Directory state of `block` plus its home's busy horizon, read under
     /// one borrow (the entry read of every `dir_service` request).
     pub(crate) fn dir_read(&self, home: usize, block: GAddr) -> (DirState, Cycles) {
@@ -243,12 +254,12 @@ impl SmMachine {
     }
 
     /// Installs a clean copy of `block` at `node` (prefetch arrival),
-    /// returning any displaced valid victim.
-    pub(crate) fn cache_fill_clean(&self, node: usize, block: GAddr) -> Option<(u64, LineState)> {
+    /// returning the raw block address of any displaced valid victim.
+    pub(crate) fn cache_fill_clean(&self, node: usize, block: GAddr) -> Option<u64> {
         self.nodes.borrow_mut()[node]
             .cache
             .fill(block.raw(), LineState::Clean)
-            .map(|ev| (ev.block, ev.state))
+            .map(|ev| ev.block)
     }
 
     // ----- costed access paths ----------------------------------------------
@@ -356,13 +367,8 @@ impl SmMachine {
                 // favor — otherwise a deterministic lock-step program
                 // could touch the line just before every arrival and never
                 // observe any invalidation.
-                let listed = result.hit
-                    && !result.upgrade
-                    && match nodes[block.node()].dir.get(block) {
-                        DirState::Shared(s) => s.contains(me),
-                        DirState::Exclusive(o) => o == me,
-                        DirState::Uncached => false,
-                    };
+                let listed =
+                    result.hit && !result.upgrade && nodes[block.node()].dir.lists(block, me);
                 (tlb_hit, result, listed)
             };
             if !tlb_hit {
@@ -418,24 +424,18 @@ impl SmMachine {
                 // A re-miss on a block parked in the local stache (and
                 // still attributed to us by the directory) refills at
                 // local-memory cost: no protocol transaction.
-                if cfg.stache {
-                    let parked = self.nodes.borrow()[me].stache.contains(&block_raw);
-                    if parked {
-                        let listed = match self.dir_state(block.node(), block) {
-                            DirState::Shared(s) => s.contains(me),
-                            DirState::Exclusive(o) => o == me,
-                            DirState::Uncached => false,
-                        };
-                        if listed && cache_kind == AccessKind::Read {
-                            cpu.charge(Kind::PrivMiss, cfg.priv_miss_total());
-                            cpu.count(Counter::PrivMisses, 1);
-                            if block_raw == last {
-                                break;
-                            }
-                            block_raw += block_bytes;
-                            continue;
-                        }
+                if cfg.stache
+                    && self.nodes.borrow()[me].stache.contains(&block_raw)
+                    && self.dir_lists(block.node(), block, me)
+                    && cache_kind == AccessKind::Read
+                {
+                    cpu.charge(Kind::PrivMiss, cfg.priv_miss_total());
+                    cpu.count(Counter::PrivMisses, 1);
+                    if block_raw == last {
+                        break;
                     }
+                    block_raw += block_bytes;
+                    continue;
                 }
                 // A read miss on a block with an in-flight prefetch merges
                 // into it (MSHR behavior): wait for the prefetch response
@@ -595,12 +595,8 @@ impl SmMachine {
         let mut issued = 0;
         loop {
             let block = GAddr::from_raw(block_raw);
-            let listed = match self.dir_state(block.node(), block) {
-                DirState::Shared(s) => s.contains(me),
-                DirState::Exclusive(o) => o == me,
-                DirState::Uncached => false,
-            };
-            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some() && listed;
+            let resident = self.nodes.borrow()[me].cache.state_of(block_raw).is_some()
+                && self.dir_lists(block.node(), block, me);
             if !resident {
                 // A couple of cycles to issue the prefetch instruction;
                 // the line is installed only when the response arrives,
@@ -741,13 +737,9 @@ impl SmMachine {
                 if ga.segment() != Segment::Shared {
                     continue;
                 }
-                let dir = nodes[ga.node()].dir.get(ga);
-                let listed = match dir {
-                    DirState::Uncached => false,
-                    DirState::Shared(s) => s.contains(n),
-                    DirState::Exclusive(o) => o == n,
-                };
-                if !listed {
+                let home = &nodes[ga.node()].dir;
+                let dir = home.get(ga);
+                if !home.lists(ga, n) {
                     out.push(format!(
                         "node {n} holds {ga:?} ({state:?}) but the directory says {dir:?}"
                     ));

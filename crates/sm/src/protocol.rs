@@ -87,25 +87,49 @@ pub enum DirState {
     Exclusive(usize),
 }
 
-/// A home node's directory: per-block [`DirState`], directly indexed by
-/// block number.
+/// A home node's directory: the full-map [`DirState`] of every block,
+/// directly indexed by block number and stored in the fewest host bytes
+/// that encode it exactly.
+///
+/// Each block owns `ceil(nprocs / 32)` sharer words (4 B at the paper's
+/// 32 nodes, 16 B at 128), block-major in one flat vector, plus one bit
+/// in a side bitmap that marks a singleton set as the exclusive owner:
+///
+/// * no bit set: [`DirState::Uncached`],
+/// * bits set, exclusive bit clear: [`DirState::Shared`] of those bits,
+/// * exactly bit `o` set, exclusive bit set: [`DirState::Exclusive`]`(o)`.
+///
+/// `Shared` with an empty set has no encoding (it would read back as
+/// `Uncached`), so [`Directory::set`] rejects it. The directory is read
+/// on the hottest path in the simulator (every shared cache *hit* checks
+/// it to resolve the race with in-flight invalidations) and spans the
+/// whole shared segment, so it must stay small enough for the host's
+/// caches; [`Directory::lists`] answers that check from one word.
 ///
 /// Shared offsets come from a bump allocator, so a node's shared blocks
-/// are dense from offset 0 — a flat vector beats a hash map on the
-/// hottest path in the whole simulator (every shared cache *hit* probes
-/// the directory to resolve the race with in-flight invalidations).
-/// Unindexed blocks read as [`DirState::Uncached`]; the vector grows on
-/// first write past its end.
+/// are dense from offset 0. Unindexed blocks read as
+/// [`DirState::Uncached`]; the vectors grow on the first write past
+/// their end.
 pub(crate) struct Directory {
     block_shift: u32,
-    states: Vec<DirState>,
+    /// Sharer words per block.
+    words: usize,
+    /// Sharer bitmaps: block `i` occupies `sharers[i * words..][..words]`.
+    sharers: Vec<u32>,
+    /// One bit per block: its single sharer is the exclusive owner.
+    exclusive: Vec<u64>,
 }
 
 impl Directory {
-    pub(crate) fn new(block_bytes: u64) -> Self {
+    /// A directory for `block_bytes`-byte blocks on an `nprocs`-node
+    /// machine.
+    pub(crate) fn new(block_bytes: u64, nprocs: usize) -> Self {
+        assert!(nprocs <= 128, "Dir_nNB full map supports up to 128 nodes");
         Directory {
             block_shift: block_bytes.trailing_zeros(),
-            states: Vec::new(),
+            words: nprocs.div_ceil(32).max(1),
+            sharers: Vec::new(),
+            exclusive: Vec::new(),
         }
     }
 
@@ -115,19 +139,94 @@ impl Directory {
     }
 
     #[inline]
-    pub(crate) fn get(&self, block: GAddr) -> DirState {
-        self.states
-            .get(self.index(block))
-            .copied()
-            .unwrap_or_default()
+    fn is_exclusive(&self, idx: usize) -> bool {
+        self.exclusive
+            .get(idx / 64)
+            .is_some_and(|w| (w >> (idx % 64)) & 1 == 1)
     }
 
-    pub(crate) fn set(&mut self, block: GAddr, st: DirState) {
+    #[inline]
+    pub(crate) fn get(&self, block: GAddr) -> DirState {
         let idx = self.index(block);
-        if idx >= self.states.len() {
-            self.states.resize(idx + 1, DirState::Uncached);
+        let Some(ws) = self.sharers.get(idx * self.words..(idx + 1) * self.words) else {
+            return DirState::Uncached;
+        };
+        let bits = ws
+            .iter()
+            .enumerate()
+            .fold(0u128, |acc, (i, &w)| acc | (u128::from(w) << (32 * i)));
+        if bits == 0 {
+            DirState::Uncached
+        } else if self.is_exclusive(idx) {
+            DirState::Exclusive(bits.trailing_zeros() as usize)
+        } else {
+            DirState::Shared(Sharers(bits))
         }
-        self.states[idx] = st;
+    }
+
+    /// Whether the directory lists `p` for `block`, as a sharer or as the
+    /// exclusive owner.
+    #[inline]
+    pub(crate) fn lists(&self, block: GAddr, p: usize) -> bool {
+        debug_assert!(p < 32 * self.words, "node {p} beyond the machine");
+        let i = self.index(block) * self.words + p / 32;
+        self.sharers
+            .get(i)
+            .is_some_and(|w| (w >> (p % 32)) & 1 == 1)
+    }
+
+    /// Writes `block`'s state.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Shared` with an empty set, which has no encoding, and on
+    /// a node id beyond the directory's sharer words.
+    pub(crate) fn set(&mut self, block: GAddr, st: DirState) {
+        let (bits, exclusive) = match st {
+            DirState::Uncached => (0, false),
+            DirState::Shared(s) => {
+                assert!(!s.is_empty(), "an empty sharer set is Uncached");
+                (s.0, false)
+            }
+            DirState::Exclusive(o) => (Sharers::one(o).0, true),
+        };
+        assert!(
+            self.words == 4 || bits >> (32 * self.words) == 0,
+            "node beyond the directory's sharer words"
+        );
+        let idx = self.index(block);
+        let end = (idx + 1) * self.words;
+        if end > self.sharers.len() {
+            self.sharers.resize(end, 0);
+        }
+        for (i, w) in self.sharers[idx * self.words..end].iter_mut().enumerate() {
+            *w = (bits >> (32 * i)) as u32;
+        }
+        if idx / 64 >= self.exclusive.len() {
+            self.exclusive.resize(idx / 64 + 1, 0);
+        }
+        let x = &mut self.exclusive[idx / 64];
+        *x = (*x & !(1 << (idx % 64))) | (u64::from(exclusive) << (idx % 64));
+    }
+
+    /// Drops `p`'s copy of `block` (a replacement hint or writeback
+    /// arriving from `p`): `p`'s exclusive ownership becomes
+    /// [`DirState::Uncached`], a sharer set loses `p` (and is `Uncached`
+    /// once empty), and any other state is unchanged.
+    pub(crate) fn drop_copy(&mut self, block: GAddr, p: usize) {
+        debug_assert!(p < 32 * self.words, "node {p} beyond the machine");
+        let idx = self.index(block);
+        if let Some(w) = self.sharers.get_mut(idx * self.words + p / 32) {
+            let bit = 1 << (p % 32);
+            if *w & bit != 0 {
+                *w &= !bit;
+                // p was listed: if the entry was exclusive, p was its only
+                // member and the block is now uncached.
+                if let Some(x) = self.exclusive.get_mut(idx / 64) {
+                    *x &= !(1 << (idx % 64));
+                }
+            }
+        }
     }
 }
 
@@ -316,11 +415,9 @@ impl SmMachine {
             .completion_time()
             .expect("dir_service completes synchronously");
         let this = Rc::clone(self);
-        let sim = Rc::clone(self.sim());
         self.sim()
             .call_at(resp.max(self.sim().now()), move || {
-                this.install_prefetched(p, block);
-                let _ = &sim;
+                this.install_prefetched(p, block)
             })
             .expect("response time is clamped to the present");
     }
@@ -337,26 +434,10 @@ impl SmMachine {
     /// for any displaced shared victim (used by prefetch arrivals and
     /// push-broadcast updates).
     pub(crate) fn install_copy(self: &Rc<Self>, p: usize, block: GAddr) {
-        let evicted = self.cache_fill_clean(p, block);
-        if let Some((victim_raw, state)) = evicted {
-            let victim = GAddr::from_raw(victim_raw);
+        if let Some(victim) = self.cache_fill_clean(p, block) {
+            let victim = GAddr::from_raw(victim);
             if victim.segment() == wwt_mem::Segment::Shared {
-                let h = victim.node();
-                let st = self.dir_state(h, victim);
-                let new = match st {
-                    DirState::Exclusive(o) if o == p => DirState::Uncached,
-                    DirState::Shared(mut s) => {
-                        s.remove(p);
-                        if s.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(s)
-                        }
-                    }
-                    other => other,
-                };
-                self.set_dir_state(h, victim, new);
-                let _ = state;
+                self.dir_drop_copy(victim.node(), victim, p);
             }
         }
     }
@@ -381,20 +462,7 @@ impl SmMachine {
         let this = Rc::clone(self);
         self.sim()
             .call_at(arrive.max(self.sim().now()), move || {
-                let st = this.dir_state(h, victim);
-                let new = match st {
-                    DirState::Exclusive(o) if o == p => DirState::Uncached,
-                    DirState::Shared(mut s) => {
-                        s.remove(p);
-                        if s.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(s)
-                        }
-                    }
-                    other => other,
-                };
-                this.set_dir_state(h, victim, new);
+                this.dir_drop_copy(h, victim, p)
             })
             .expect("arrival is clamped to the present");
     }
@@ -403,6 +471,8 @@ impl SmMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sharers_set_semantics() {
@@ -442,5 +512,118 @@ mod tests {
     #[test]
     fn dir_state_default_is_uncached() {
         assert_eq!(DirState::default(), DirState::Uncached);
+    }
+
+    fn block(i: usize) -> GAddr {
+        GAddr::new(wwt_mem::Segment::Shared, 0, (i * 32) as u64)
+    }
+
+    /// Whether `st` lists `p`: the match `Directory::lists` replaces.
+    fn model_lists(st: DirState, p: usize) -> bool {
+        match st {
+            DirState::Uncached => false,
+            DirState::Shared(s) => s.contains(p),
+            DirState::Exclusive(o) => o == p,
+        }
+    }
+
+    /// `st` after `p`'s copy is dropped: the match `Directory::drop_copy`
+    /// replaces.
+    fn model_drop(st: DirState, p: usize) -> DirState {
+        match st {
+            DirState::Exclusive(o) if o == p => DirState::Uncached,
+            DirState::Shared(mut s) => {
+                s.remove(p);
+                if s.is_empty() {
+                    DirState::Uncached
+                } else {
+                    DirState::Shared(s)
+                }
+            }
+            other => other,
+        }
+    }
+
+    fn random_state(rng: &mut SmallRng, n: usize) -> DirState {
+        match rng.gen_range(0..4u32) {
+            0 => DirState::Uncached,
+            1 => DirState::Exclusive(rng.gen_range(0..n)),
+            2 => DirState::Shared(Sharers::one(rng.gen_range(0..n))),
+            _ => {
+                let mut s = Sharers::one(rng.gen_range(0..n));
+                for _ in 0..rng.gen_range(0..2 * n) {
+                    s.insert(rng.gen_range(0..n));
+                }
+                DirState::Shared(s)
+            }
+        }
+    }
+
+    /// Checks `get` and `lists` of block `i` and its neighbours against
+    /// the model.
+    fn check_around(dir: &Directory, model: &[DirState], i: usize, n: usize) {
+        for j in [i.saturating_sub(1), i, i + 1] {
+            let want = model.get(j).copied().unwrap_or_default();
+            assert_eq!(dir.get(block(j)), want, "block {j} on {n} nodes");
+            for p in 0..n {
+                assert_eq!(
+                    dir.lists(block(j), p),
+                    model_lists(want, p),
+                    "block {j}, node {p} on {n} nodes ({want:?})"
+                );
+            }
+        }
+    }
+
+    /// The packed directory against the `Vec<DirState>` it replaced, on
+    /// seeded set/drop_copy streams at every sharer-word boundary.
+    #[test]
+    fn directory_matches_a_vec_of_dir_states() {
+        const BLOCKS: usize = 150;
+        for n in [1, 31, 32, 33, 64, 65, 127, 128] {
+            let mut rng = SmallRng::seed_from_u64(0xd15 + n as u64);
+            let mut dir = Directory::new(32, n);
+            let mut model = vec![DirState::Uncached; BLOCKS];
+            assert_eq!(dir.get(block(BLOCKS * 4)), DirState::Uncached);
+            assert!(!dir.lists(block(BLOCKS * 4), n - 1));
+            // An owner on each side of every word boundary, each on a
+            // block next to a shared one.
+            let owners = [0, 31, 32, 63, 64, 95, 96, 127, n - 1];
+            for (k, &o) in owners.iter().filter(|&&o| o < n).enumerate() {
+                let (i, st) = (2 * k + 1, DirState::Exclusive(o));
+                model[i - 1] = DirState::Shared(Sharers::one(o));
+                dir.set(block(i - 1), model[i - 1]);
+                model[i] = st;
+                dir.set(block(i), st);
+                check_around(&dir, &model, i, n);
+            }
+            for _ in 0..3_000 {
+                let i = rng.gen_range(0..BLOCKS);
+                if rng.gen_range(0..3u32) == 0 {
+                    let p = rng.gen_range(0..n);
+                    model[i] = model_drop(model[i], p);
+                    dir.drop_copy(block(i), p);
+                } else {
+                    model[i] = random_state(&mut rng, n);
+                    dir.set(block(i), model[i]);
+                }
+                check_around(&dir, &model, i, n);
+            }
+            for (i, &want) in model.iter().enumerate() {
+                assert_eq!(dir.get(block(i)), want, "block {i} on {n} nodes");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty sharer set")]
+    fn directory_rejects_an_empty_shared_set() {
+        Directory::new(32, 32).set(block(0), DirState::Shared(Sharers::empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer words")]
+    fn directory_rejects_a_node_beyond_its_words() {
+        Directory::new(32, 32).set(block(0), DirState::Exclusive(32));
     }
 }

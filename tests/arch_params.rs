@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use wwt::arch::{ArchParams, KEYS, PRESETS};
+use wwt::arch::{ArchError, ArchParams, KEYS, PRESETS};
 use wwt::mp::MpConfig;
 use wwt::sm::{AllocPolicy, ProtocolMode, SmConfig};
 
@@ -107,6 +107,24 @@ fn every_documented_key_is_settable() {
             "documented key {key} rejected"
         );
     }
+}
+
+/// A block size that is not a power of two has no block alignment (the
+/// SM block walk masks addresses with `block_bytes - 1`), so the spec is
+/// refused even when its set count is a power of two.
+#[test]
+fn non_power_of_two_cache_blocks_are_refused() {
+    // 196608 B / 4 ways / 48 B blocks = 1024 sets.
+    let err = ArchParams::parse("paper,cache_bytes=196608,cache_block=48").unwrap_err();
+    assert!(matches!(err, ArchError::BadGeometry(_)), "{err}");
+    assert!(err.to_string().contains("power of two"), "{err}");
+    for block in [0, 24, 96] {
+        assert!(
+            ArchParams::parse(&format!("paper,cache_block={block}")).is_err(),
+            "cache_block={block}"
+        );
+    }
+    assert!(ArchParams::parse("paper,cache_block=64").is_ok());
 }
 
 // The scalar keys whose values are unconstrained beyond being positive;

@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use wwt::mp::{MpConfig, MpMachine, TreeShape};
-use wwt::sim::{Engine, ProcId, SimConfig};
+use wwt::sim::{Counter, Engine, ProcId, SimConfig};
 use wwt::sm::{SmCollectives, SmConfig, SmMachine};
 
 #[test]
@@ -32,32 +32,45 @@ fn mp_collectives_span_128_processors() {
     assert_eq!(total.get(), 128.0);
 }
 
+/// The full map on machines at every sharer-word boundary, up to 128
+/// nodes: everyone reads one block, node 0 writes it, everyone reads it
+/// again.
 #[test]
 fn sm_directory_tracks_128_sharers() {
-    let n = 128;
-    let mut e = Engine::new(n, SimConfig::default());
-    let m = SmMachine::new(&e, SmConfig::default());
-    let x = m.gmalloc_on(0, 8, 8);
-    m.poke_f64(x, 2.5);
-    for p in e.proc_ids() {
-        let m = Rc::clone(&m);
-        let cpu = e.cpu(p);
-        e.spawn(p, async move {
-            // Everyone reads (full map fills up), then node 0 writes,
-            // invalidating all 127 other sharers.
-            let v = m.read_f64(&cpu, x).await;
-            assert_eq!(v, 2.5);
-            m.barrier(&cpu).await;
-            if p.index() == 0 {
-                m.write_f64(&cpu, x, 3.5).await;
-            }
-            m.barrier(&cpu).await;
-            let v = m.read_f64(&cpu, x).await;
-            assert_eq!(v, 3.5);
-        });
+    for n in [31, 32, 33, 64, 65, 128] {
+        let mut e = Engine::new(n, SimConfig::default());
+        let m = SmMachine::new(&e, SmConfig::default());
+        let x = m.gmalloc_on(0, 8, 8);
+        m.poke_f64(x, 2.5);
+        for p in e.proc_ids() {
+            let m = Rc::clone(&m);
+            let cpu = e.cpu(p);
+            e.spawn(p, async move {
+                // Everyone reads (the full map fills up), then node 0
+                // writes, invalidating all n - 1 other sharers.
+                let v = m.read_f64(&cpu, x).await;
+                assert_eq!(v, 2.5);
+                m.barrier(&cpu).await;
+                if p.index() == 0 {
+                    m.write_f64(&cpu, x, 3.5).await;
+                }
+                m.barrier(&cpu).await;
+                let v = m.read_f64(&cpu, x).await;
+                assert_eq!(v, 3.5);
+            });
+        }
+        let r = e.run();
+        assert!(m.coherence_violations().is_empty(), "{n} nodes");
+        // Node 0's control traffic: its read miss (request, response
+        // header), its upgrade (request, grant), and one invalidation
+        // plus one acknowledgement per other sharer. The re-read hits.
+        let ctrl = m.config().ctrl_msg_bytes;
+        assert_eq!(
+            r.proc(ProcId::new(0)).counters.get(Counter::BytesControl),
+            (4 + 2 * (n as u64 - 1)) * ctrl,
+            "{n} nodes"
+        );
     }
-    e.run();
-    assert!(m.coherence_violations().is_empty());
 }
 
 #[test]
